@@ -187,8 +187,10 @@ int main(int argc, char** argv)
         }
         maxMaxSatMs = std::max(maxMaxSatMs, r.hqsStats.maxsatMilliseconds);
         if (r.hqsMs > 0) {
-            unitPureShareMax =
-                std::max(unitPureShareMax, r.hqsStats.unitPureMilliseconds / r.hqsMs);
+            // Main-loop and QBF-backend passes together.
+            const double unitPureMs = r.hqsStats.unitPureMilliseconds +
+                                      r.hqsStats.qbfStats.unitPureMilliseconds;
+            unitPureShareMax = std::max(unitPureShareMax, unitPureMs / r.hqsMs);
         }
     }
 

@@ -442,7 +442,12 @@ int main(int argc, char** argv)
                       << " universal (Thm 1), " << st.existentialsEliminated
                       << " existential (Thm 2), " << st.unitEliminations << " unit + "
                       << st.pureEliminations << " pure (Thm 5/6, "
+                      << st.unitPureSweeps << " sweeps, "
                       << st.unitPureMilliseconds << " ms)\n"
+                      << "c qbf backend         : " << st.qbfStats.unitEliminations
+                      << " unit + " << st.qbfStats.pureEliminations << " pure ("
+                      << st.qbfStats.unitPureSweeps << " sweeps, "
+                      << st.qbfStats.unitPureMilliseconds << " ms)\n"
                       << "c existential copies  : " << st.copiesIntroduced << "\n"
                       << "c peak AIG nodes      : " << st.peakConeSize << "\n"
                       << "c total time          : " << st.totalMilliseconds << " ms\n";

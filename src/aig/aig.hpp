@@ -27,7 +27,8 @@
 // cofactor/compose/parallel substitution (quantify.cpp), single-variable
 // existential and universal quantification, support computation, evaluation
 // and 64-way parallel simulation, the Theorem-6 syntactic unit/pure
-// detection (unit_pure.hpp), and a CNF bridge (cnf_bridge.hpp).
+// detection with its batched Theorem-5 application (unit_pure.hpp), and a
+// CNF bridge (cnf_bridge.hpp).
 //
 // Thread-safety: a manager is single-threaded, except for cofactorInto,
 // which is read-only on the source manager and uses only local scratch —
@@ -79,7 +80,7 @@ private:
 
 /// Per-variable unit/pure classification from the Theorem-6 AIG traversal.
 /// A variable can be unit and pure at the same time; variables outside the
-/// cone's support are reported in `unused`.
+/// cone's support appear in no list.
 struct UnitPureInfo {
     std::vector<Var> posUnit;
     std::vector<Var> negUnit;

@@ -15,7 +15,15 @@
 // Cost: O(|phi| + |V|), as stated in the paper.  The per-node flags live
 // as bits in the manager's generation-stamped TraversalCache, so the sweep
 // allocates nothing.
-#include "src/aig/aig.hpp"
+//
+// eliminateUnitPure (unit_pure.hpp) applies the detections, batched per
+// sweep.
+#include "src/aig/unit_pure.hpp"
+
+#include <utility>
+
+#include "src/base/timer.hpp"
+#include "src/obs/obs.hpp"
 
 namespace hqs {
 
@@ -71,6 +79,56 @@ UnitPureInfo Aig::detectUnitPure(AigEdge root) const
         }
     }
     return info;
+}
+
+UnitPureOutcome eliminateUnitPure(Aig& aig, AigEdge& matrix, const UnitPureHooks& hooks)
+{
+    OBS_PHASE(upSpan, "hqs.unit_pure", "phase.unit_pure.us");
+    Timer t;
+    UnitPureOutcome out;
+    while (!aig.isConstant(matrix) && hooks.beforeSweep()) {
+        const UnitPureInfo info = aig.detectUnitPure(matrix);
+        ++out.sweeps;
+        OBS_COUNT("hqs.unit_pure.sweeps", 1);
+        for (const std::vector<Var>* units : {&info.posUnit, &info.negUnit}) {
+            for (Var v : *units) {
+                if (hooks.quantOf(v) == UnitPureQuant::Forall) {
+                    out.universalUnit = true;
+                    out.milliseconds = t.elapsedMilliseconds();
+                    return out;
+                }
+            }
+        }
+        Substitution& sub = aig.scratchSubstitution();
+        auto fix = [&](Var v, UnitPureQuant q, bool value) {
+            hooks.eliminate(v, q, value);
+            sub.set(v, value ? aig.constTrue() : aig.constFalse());
+        };
+        for (const auto& [vars, positive] :
+             {std::pair{&info.posUnit, true}, std::pair{&info.negUnit, false}}) {
+            for (Var v : *vars) {
+                if (sub.maps(v) || hooks.quantOf(v) != UnitPureQuant::Exists) continue;
+                fix(v, UnitPureQuant::Exists, positive);
+                ++out.unitEliminations;
+            }
+        }
+        for (const auto& [vars, positive] :
+             {std::pair{&info.posPure, true}, std::pair{&info.negPure, false}}) {
+            for (Var v : *vars) {
+                if (sub.maps(v)) continue;
+                const UnitPureQuant q = hooks.quantOf(v);
+                if (q == UnitPureQuant::Free) continue;
+                // Existential pure: the helpful value; universal pure: the
+                // harmful one.
+                fix(v, q, (q == UnitPureQuant::Exists) == positive);
+                ++out.pureEliminations;
+            }
+        }
+        if (sub.empty()) break;
+        matrix = aig.substitute(matrix, sub);
+    }
+    out.milliseconds = t.elapsedMilliseconds();
+    return out;
 }
 
 } // namespace hqs

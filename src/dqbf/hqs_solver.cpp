@@ -8,6 +8,7 @@
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/aig/fraig.hpp"
+#include "src/aig/unit_pure.hpp"
 #include "src/obs/obs.hpp"
 #include "src/runtime/thread_pool.hpp"
 #include "src/sat/sat_solver.hpp"
@@ -222,59 +223,37 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         return SolveResult::Unknown;
     };
 
-    // Theorem 5 applied to Theorem-6 detections.  Returns Unsat on a
-    // universal unit, Unknown otherwise.
+    // Theorem 5 applied to Theorem-6 detections, batched per sweep
+    // (src/aig/unit_pure.hpp).  Returns Unsat on a universal unit, Unknown
+    // otherwise.
+    UnitPureHooks unitPureHooks;
+    unitPureHooks.quantOf = [&](Var v) {
+        if (f.isExistential(v)) return UnitPureQuant::Exists;
+        return f.isUniversal(v) ? UnitPureQuant::Forall : UnitPureQuant::Free;
+    };
+    unitPureHooks.eliminate = [&](Var v, UnitPureQuant q, bool value) {
+        if (q == UnitPureQuant::Forall) {
+            f.removeUniversal(v);
+            return;
+        }
+        if (rec) rec->record(SkolemRecorder::Constant{v, value});
+        f.removeExistential(v);
+    };
+    unitPureHooks.beforeSweep = [&]() {
+        if (opts_.deadline.expired()) return false;
+        collectIfBloated();
+        return true;
+    };
     auto unitPurePass = [&]() -> SolveResult {
         if (!opts_.unitPure) return SolveResult::Unknown;
-        OBS_PHASE(upSpan, "hqs.unit_pure", "phase.unit_pure.us");
-        Timer t;
-        bool changed = true;
-        while (changed && !aig.isConstant(matrix) && !opts_.deadline.expired()) {
-            changed = false;
-            collectIfBloated();
-            const UnitPureInfo info = aig.detectUnitPure(matrix);
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posUnit, true}, std::pair{&info.negUnit, false}}) {
-                for (Var v : *vars) {
-                    if (f.isUniversal(v)) {
-                        stats_.unitPureMilliseconds += t.elapsedMilliseconds();
-                        return SolveResult::Unsat;
-                    }
-                    if (!f.isExistential(v)) continue;
-                    if (rec) rec->record(SkolemRecorder::Constant{v, positive});
-                    matrix = aig.cofactor(matrix, v, positive);
-                    f.removeExistential(v);
-                    ++stats_.unitEliminations;
-                    OBS_COUNT("hqs.elim.unit", 1);
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-            if (changed) continue;
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posPure, true}, std::pair{&info.negPure, false}}) {
-                for (Var v : *vars) {
-                    if (f.isExistential(v)) {
-                        if (rec) rec->record(SkolemRecorder::Constant{v, positive});
-                        matrix = aig.cofactor(matrix, v, positive);
-                        f.removeExistential(v);
-                    } else if (f.isUniversal(v)) {
-                        matrix = aig.cofactor(matrix, v, !positive);
-                        f.removeUniversal(v);
-                    } else {
-                        continue;
-                    }
-                    ++stats_.pureEliminations;
-                    OBS_COUNT("hqs.elim.pure", 1);
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-        }
-        stats_.unitPureMilliseconds += t.elapsedMilliseconds();
-        return SolveResult::Unknown;
+        const UnitPureOutcome up = eliminateUnitPure(aig, matrix, unitPureHooks);
+        stats_.unitPureMilliseconds += up.milliseconds;
+        stats_.unitPureSweeps += up.sweeps;
+        stats_.unitEliminations += up.unitEliminations;
+        stats_.pureEliminations += up.pureEliminations;
+        OBS_COUNT("hqs.elim.unit", static_cast<std::int64_t>(up.unitEliminations));
+        OBS_COUNT("hqs.elim.pure", static_cast<std::int64_t>(up.pureEliminations));
+        return up.universalUnit ? SolveResult::Unsat : SolveResult::Unknown;
     };
 
     /// Remove prefix variables that no longer occur in the matrix.

@@ -88,6 +88,7 @@ struct HqsStats {
     std::size_t unitEliminations = 0;
     std::size_t pureEliminations = 0;
     std::size_t droppedUnsupported = 0;
+    std::size_t unitPureSweeps = 0; ///< Theorem-6 sweeps of the main loop
     double unitPureMilliseconds = 0.0;
 
     std::size_t peakConeSize = 0;

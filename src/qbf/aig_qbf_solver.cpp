@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "src/aig/cnf_bridge.hpp"
+#include "src/aig/unit_pure.hpp"
 #include "src/dqbf/skolem_recorder.hpp"
 #include "src/obs/obs.hpp"
 #include "src/sat/sat_solver.hpp"
@@ -86,53 +87,34 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge matrix, QbfPrefix prefix)
         return SolveResult::Unknown;
     };
 
-    // Theorem-5 applications of the Theorem-6 syntactic detection; returns
-    // Unsat when a universal unit is found, Unknown otherwise.
+    // Theorem-5 applications of the Theorem-6 syntactic detection, batched
+    // per sweep (src/aig/unit_pure.hpp); returns Unsat when a universal unit
+    // is found, Unknown otherwise.
+    UnitPureHooks unitPureHooks;
+    unitPureHooks.quantOf = [&](Var v) {
+        if (!prefix.contains(v)) return UnitPureQuant::Free;
+        return prefix.kindOf(v) == QuantKind::Exists ? UnitPureQuant::Exists
+                                                     : UnitPureQuant::Forall;
+    };
+    unitPureHooks.eliminate = [&](Var v, UnitPureQuant q, bool value) {
+        if (q == UnitPureQuant::Exists && opts_.recorder) {
+            opts_.recorder->record(SkolemRecorder::Constant{v, value});
+        }
+        prefix.removeVar(v);
+    };
+    unitPureHooks.beforeSweep = [&]() {
+        if (opts_.deadline.expired()) return false;
+        if (aig.numNodes() > 4 * aig.coneSize(matrix) + 20000) collectGarbage();
+        return true;
+    };
     auto unitPurePass = [&]() -> SolveResult {
         if (!opts_.unitPure) return SolveResult::Unknown;
-        bool changed = true;
-        while (changed && !aig.isConstant(matrix) && !opts_.deadline.expired()) {
-            changed = false;
-            if (aig.numNodes() > 4 * aig.coneSize(matrix) + 20000) collectGarbage();
-            const UnitPureInfo info = aig.detectUnitPure(matrix);
-            // Units first: a universal unit decides the formula.
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posUnit, true}, std::pair{&info.negUnit, false}}) {
-                for (Var v : *vars) {
-                    if (!prefix.contains(v)) continue;
-                    if (prefix.kindOf(v) == QuantKind::Forall) return SolveResult::Unsat;
-                    if (opts_.recorder) {
-                        opts_.recorder->record(SkolemRecorder::Constant{v, positive});
-                    }
-                    matrix = aig.cofactor(matrix, v, positive);
-                    prefix.removeVar(v);
-                    ++stats_.unitEliminations;
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-            if (changed) continue;
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posPure, true}, std::pair{&info.negPure, false}}) {
-                for (Var v : *vars) {
-                    if (!prefix.contains(v)) continue;
-                    const bool existential = prefix.kindOf(v) == QuantKind::Exists;
-                    // Existential pure: keep the helpful cofactor; universal
-                    // pure: the adversary picks the harmful one.
-                    if (existential && opts_.recorder) {
-                        opts_.recorder->record(SkolemRecorder::Constant{v, positive});
-                    }
-                    matrix = aig.cofactor(matrix, v, existential == positive);
-                    prefix.removeVar(v);
-                    ++stats_.pureEliminations;
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-        }
-        return SolveResult::Unknown;
+        const UnitPureOutcome up = eliminateUnitPure(aig, matrix, unitPureHooks);
+        stats_.unitPureMilliseconds += up.milliseconds;
+        stats_.unitPureSweeps += up.sweeps;
+        stats_.unitEliminations += up.unitEliminations;
+        stats_.pureEliminations += up.pureEliminations;
+        return up.universalUnit ? SolveResult::Unsat : SolveResult::Unknown;
     };
 
     trackPeak();

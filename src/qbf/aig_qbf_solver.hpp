@@ -43,6 +43,8 @@ struct AigQbfStats {
     std::size_t universalEliminations = 0;
     std::size_t unitEliminations = 0;
     std::size_t pureEliminations = 0;
+    std::size_t unitPureSweeps = 0;     ///< Theorem-6 sweeps
+    double unitPureMilliseconds = 0.0;  ///< time in the unit/pure passes
     std::size_t droppedUnsupported = 0; ///< prefix vars absent from the matrix
     std::size_t fraigRuns = 0;
     std::size_t peakConeSize = 0;

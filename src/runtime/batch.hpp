@@ -102,7 +102,9 @@ struct BatchOptions {
 struct BatchJobMetrics {
     double preprocessMs = 0.0; ///< CNF preprocessing
     double elimMs = 0.0;       ///< Theorem-1/2 + unit/pure elimination
-    double qbfMs = 0.0;        ///< linearized-QBF backend
+    /// Linearized-QBF backend.  Its unit/pure passes are timed under the
+    /// same phase as the main loop's, so they count here and in elimMs.
+    double qbfMs = 0.0;
     double fraigMs = 0.0;      ///< FRAIG sweeps
     std::int64_t peakAigNodes = 0;  ///< peak matrix cone size
     std::int64_t eliminations = 0;  ///< all quantifier eliminations performed

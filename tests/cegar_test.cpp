@@ -21,39 +21,20 @@
 #include <vector>
 
 #include "src/base/fault.hpp"
+#include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
 #include "src/cegar/cegar_solver.hpp"
-#include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/qbf/aig_qbf_solver.hpp"
+#include "src/qbf/qdpll_solver.hpp"
 #include "src/runtime/guard.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
-
-/// Production-path verification (same pipeline as `dqbf_solve --certify`
-/// + `dqbf_check`): extract, serialize, re-parse, check independently.
-::testing::AssertionResult certifiesThroughProduction(const DqbfFormula& f,
-                                                      const AigSkolemCertificate& skolem)
-{
-    const std::string text =
-        cert::toCertificateString(cert::extractCertificate(f, skolem));
-    cert::Certificate parsed;
-    std::string detail;
-    const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
-    if (st != cert::CheckStatus::Ok)
-        return ::testing::AssertionFailure()
-               << "parse failed: " << cert::toString(st) << " (" << detail << ")";
-    const cert::CheckResult res = cert::checkCertificate(parsed);
-    if (!res.ok())
-        return ::testing::AssertionFailure()
-               << "check failed: " << cert::toString(res.status) << " (" << res.detail
-               << ")";
-    return ::testing::AssertionSuccess();
-}
 
 DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned numClauses)
 {
@@ -75,6 +56,57 @@ DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned n
             cl.push(Lit(all[rng.below(all.size())], rng.flip()));
         f.matrix().addClause(std::move(cl));
     }
+    return f;
+}
+
+/// Literal sign for a variable of polarity role @p role: 0 = mixed, 1 =
+/// always positive, 2 = always negative (monotone / antitone).
+bool roleSign(Rng& rng, unsigned role)
+{
+    return role == 0 ? rng.flip() : role == 2;
+}
+
+/// Random clause over @p vars, biased towards the unit/pure literals one
+/// Theorem-6 sweep finds: about a third of the clauses are units (almost
+/// always over @p unitVars), and two thirds of the variables keep one
+/// polarity throughout.
+void addUnitPureRichClauses(Rng& rng, Cnf& matrix, const std::vector<Var>& vars,
+                            const std::vector<Var>& unitVars, unsigned numClauses)
+{
+    std::vector<unsigned> role(vars.size());
+    for (unsigned& r : role) r = static_cast<unsigned>(rng.below(3));
+    auto lit = [&](std::size_t i) { return Lit(vars[i], roleSign(rng, role[i])); };
+    for (unsigned c = 0; c < numClauses; ++c) {
+        const unsigned k = 1 + static_cast<unsigned>(rng.below(3));
+        if (k == 1 && rng.below(8) != 0) {
+            matrix.addClause({Lit(unitVars[rng.below(unitVars.size())], rng.flip())});
+            continue;
+        }
+        Clause cl;
+        for (unsigned j = 0; j < k; ++j) cl.push(lit(rng.below(vars.size())));
+        matrix.addClause(std::move(cl));
+    }
+}
+
+/// Random DQBF rich in unit clauses over existentials and in monotone
+/// variables, so that many literals land in one unit/pure batch.
+DqbfFormula unitPureRichDqbf(Rng& rng)
+{
+    DqbfFormula f;
+    std::vector<Var> xs, ys;
+    const unsigned numUniv = 1 + static_cast<unsigned>(rng.below(3));
+    const unsigned numExist = 3 + static_cast<unsigned>(rng.below(5));
+    for (unsigned i = 0; i < numUniv; ++i) xs.push_back(f.addUniversal());
+    for (unsigned i = 0; i < numExist; ++i) {
+        std::vector<Var> deps;
+        for (Var x : xs) {
+            if (rng.flip()) deps.push_back(x);
+        }
+        ys.push_back(f.addExistential(std::move(deps)));
+    }
+    std::vector<Var> all = xs;
+    all.insert(all.end(), ys.begin(), ys.end());
+    addUnitPureRichClauses(rng, f.matrix(), all, ys, 4 + static_cast<unsigned>(rng.below(8)));
     return f;
 }
 
@@ -243,6 +275,71 @@ TEST(Cegar, DifferentialFuzzAgainstOracleAndHqs)
             EXPECT_TRUE(certifiesThroughProduction(f, *cegar.skolemCertificate()))
                 << "iter " << iter;
         }
+    }
+}
+
+// The same three-way cross-check on unit/pure-rich instances, with HQS run
+// both as shipped and with CNF preprocessing off (so the unit clauses reach
+// the batched AIG pass).  Every HQS SAT certificate is checked.
+TEST(Cegar, DifferentialFuzzUnitPureRich)
+{
+    Rng rng(20261019);
+    std::size_t multiLiteralBatches = 0;
+    for (int iter = 0; iter < 150; ++iter) {
+        const DqbfFormula f = unitPureRichDqbf(rng);
+
+        const SolveResult oracle = expansionDqbf(f);
+        ASSERT_TRUE(oracle == SolveResult::Sat || oracle == SolveResult::Unsat);
+
+        HqsSolver hqsSolver;
+        EXPECT_EQ(hqsSolver.solve(f), oracle) << "HQS disagrees at iter " << iter;
+
+        HqsOptions raw;
+        raw.preprocess = false;
+        raw.computeSkolem = true;
+        HqsSolver hqsRaw(raw);
+        EXPECT_EQ(hqsRaw.solve(f), oracle) << "HQS (no preprocessing) disagrees at iter " << iter;
+        const HqsStats& st = hqsRaw.stats();
+        if (st.unitEliminations + st.pureEliminations > st.unitPureSweeps) ++multiLiteralBatches;
+        if (oracle == SolveResult::Sat) {
+            ASSERT_TRUE(hqsRaw.skolemCertificate().has_value()) << "iter " << iter;
+            EXPECT_TRUE(certifiesThroughProduction(f, *hqsRaw.skolemCertificate()))
+                << "iter " << iter;
+        }
+
+        CegarSolver cegar;
+        EXPECT_EQ(cegar.solve(f), oracle) << "CEGAR disagrees at iter " << iter;
+    }
+    // The generator must actually exercise batches of several literals.
+    EXPECT_GT(multiLiteralBatches, 30u);
+}
+
+// The QBF backend's batched pass against the independent clausal QDPLL
+// solver on unit/pure-rich QBFs.
+TEST(Cegar, AigQbfMatchesQdpllOnUnitPureRichQbfs)
+{
+    Rng rng(20261020);
+    for (int iter = 0; iter < 150; ++iter) {
+        const Var n = 4 + static_cast<Var>(rng.below(6));
+        QbfProblem q;
+        std::vector<Var> vars, existentials;
+        for (Var v = 0; v < n; ++v) {
+            const QuantKind kind = rng.below(3) == 0 ? QuantKind::Forall : QuantKind::Exists;
+            q.prefix.addVar(kind, v);
+            vars.push_back(v);
+            if (kind == QuantKind::Exists) existentials.push_back(v);
+        }
+        if (existentials.empty()) existentials.push_back(0);
+        q.matrix.ensureVars(n);
+        addUnitPureRichClauses(rng, q.matrix, vars, existentials,
+                               3 + static_cast<unsigned>(rng.below(2 * n)));
+
+        const SolveResult expected = QdpllSolver().solve(q.matrix, q.prefix);
+        ASSERT_TRUE(expected == SolveResult::Sat || expected == SolveResult::Unsat);
+        Aig aig;
+        AigQbfSolver solver;
+        EXPECT_EQ(solver.solve(aig, buildFromCnf(aig, q.matrix), q.prefix), expected)
+            << "AigQbfSolver disagrees with QDPLL at iter " << iter;
     }
 }
 

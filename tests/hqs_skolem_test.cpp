@@ -5,39 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.hpp"
-#include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/pec/box_synthesis.hpp"
 #include "src/pec/pec_encoder.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
-
-/// Production-path verification: extract the certificate artifact, serialize
-/// it, re-parse, and run the independent checker — the same pipeline that
-/// `dqbf_solve --certify` + `dqbf_check` exercise.  Replaces the old
-/// test-only verifyAigSkolemCertificate route, so every Skolem test is also
-/// an end-to-end certification test.
-::testing::AssertionResult certifiesThroughProduction(const DqbfFormula& f,
-                                                      const AigSkolemCertificate& skolem)
-{
-    const std::string text =
-        cert::toCertificateString(cert::extractCertificate(f, skolem));
-    cert::Certificate parsed;
-    std::string detail;
-    const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
-    if (st != cert::CheckStatus::Ok)
-        return ::testing::AssertionFailure()
-               << "parse failed: " << cert::toString(st) << " (" << detail << ")";
-    const cert::CheckResult res = cert::checkCertificate(parsed);
-    if (!res.ok())
-        return ::testing::AssertionFailure()
-               << "check failed: " << cert::toString(res.status) << " (" << res.detail
-               << ")";
-    return ::testing::AssertionSuccess();
-}
 
 DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned numClauses)
 {

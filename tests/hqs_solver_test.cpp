@@ -5,6 +5,7 @@
 #include "src/base/rng.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
@@ -198,6 +199,78 @@ TEST(HqsSolver, StatsTimingIsPopulated)
     solver.solve(f);
     EXPECT_GE(solver.stats().totalMilliseconds, 0.0);
     EXPECT_FALSE(solver.stats().decidedBy.empty());
+}
+
+// ----- batched unit/pure elimination (Theorems 5 + 6) -------------------------
+
+TEST(HqsSolver, BatchedUnitPureEliminatesIndependentLiteralsInTwoSweeps)
+{
+    // k positive units a_i, k negative units b_i, k positive pure p_i, k
+    // negative pure n_i and one positive-pure universal u around two
+    // copycats y1 == x1, y2 == x2.  One sweep finds all 4k + 1 literals,
+    // the second finds nothing; Theorem 2 then removes y1 and y2.
+    constexpr int k = 6;
+    DqbfFormula f;
+    const Var x1 = f.addUniversal();
+    const Var x2 = f.addUniversal();
+    const Var u = f.addUniversal();
+    const Var y1 = f.addExistential({x1, x2, u});
+    const Var y2 = f.addExistential({x1, x2, u});
+    f.matrix().addClause({Lit::neg(x1), Lit::pos(y1)});
+    f.matrix().addClause({Lit::pos(x1), Lit::neg(y1)});
+    f.matrix().addClause({Lit::neg(x2), Lit::pos(y2)});
+    f.matrix().addClause({Lit::pos(x2), Lit::neg(y2)});
+    std::vector<Var> as;
+    for (int i = 0; i < k; ++i) {
+        const Var a = f.addExistential({});
+        const Var b = f.addExistential({x1});
+        const Var p = f.addExistential({x2});
+        const Var n = f.addExistential({});
+        as.push_back(a);
+        f.matrix().addClause({Lit::pos(a)});
+        f.matrix().addClause({Lit::neg(b)});
+        f.matrix().addClause({Lit::pos(p), Lit::pos(x1), Lit::neg(y2)});
+        f.matrix().addClause({Lit::neg(n), Lit::neg(x1), Lit::pos(y1)});
+    }
+    f.matrix().addClause({Lit::pos(u), Lit::pos(as[0]), Lit::pos(y1)});
+
+    HqsOptions opts;
+    opts.preprocess = false; // keep the unit clauses for the AIG pass
+    opts.computeSkolem = true;
+    HqsSolver solver(opts);
+    const SolveResult r = solver.solve(f);
+    EXPECT_EQ(r, expansionDqbf(f));
+    ASSERT_EQ(r, SolveResult::Sat);
+    EXPECT_EQ(solver.stats().unitEliminations, 2u * k);
+    EXPECT_EQ(solver.stats().pureEliminations, 2u * k + 1);
+    EXPECT_LE(solver.stats().unitPureSweeps, 2u);
+    EXPECT_EQ(solver.stats().existentialsEliminated, 2u);
+    ASSERT_TRUE(solver.skolemCertificate().has_value());
+    EXPECT_TRUE(certifiesThroughProduction(f, *solver.skolemCertificate()));
+}
+
+TEST(HqsSolver, UniversalUnitAmongExistentialUnitsIsUnsat)
+{
+    DqbfFormula f;
+    const Var x = f.addUniversal();
+    const Var x2 = f.addUniversal();
+    const Var y = f.addExistential({x2});
+    f.matrix().addClause({Lit::neg(x2), Lit::pos(y)});
+    f.matrix().addClause({Lit::pos(x2), Lit::neg(y)});
+    for (int i = 0; i < 8; ++i) {
+        const Var a = f.addExistential({x});
+        f.matrix().addClause({Lit(a, i % 2 == 0)});
+        if (i == 4) f.matrix().addClause({Lit::pos(x)});
+    }
+    HqsOptions opts;
+    opts.preprocess = false; // universal reduction would catch it in the CNF
+    HqsSolver solver(opts);
+    EXPECT_EQ(solver.solve(f), SolveResult::Unsat);
+    EXPECT_EQ(expansionDqbf(f), SolveResult::Unsat);
+    EXPECT_EQ(solver.stats().decidedBy, "elimination");
+    // The universal unit is seen before any existential is fixed.
+    EXPECT_EQ(solver.stats().unitEliminations, 0u);
+    EXPECT_EQ(solver.stats().unitPureSweeps, 1u);
 }
 
 // ----- randomized agreement across the full option matrix -------------------

@@ -3,10 +3,13 @@
 // brute-force oracle on randomized prefixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/qbf_oracle.hpp"
+#include "src/qbf/qdpll_solver.hpp"
 #include "src/qbf/search_qbf_solver.hpp"
 
 namespace hqs {
@@ -156,6 +159,85 @@ TEST(AigQbfSolver, UnitPureShortcutsCountInStats)
     AigQbfSolver solver;
     EXPECT_EQ(solver.solve(aig, m, q.prefix), SolveResult::Sat);
     EXPECT_GE(solver.stats().unitEliminations, 1u);
+    EXPECT_GE(solver.stats().unitPureSweeps, 1u);
+}
+
+TEST(AigQbfSolver, BatchedUnitPureEliminatesIndependentLiteralsInTwoSweeps)
+{
+    // exists a b p n forall u exists w: a_i & !b_i & (p_i | u | w) &
+    // (!n_i | !u | !w) & (u <-> w).  One sweep fixes all 4k literals, the
+    // second finds nothing; eliminating w then leaves true.
+    constexpr Var k = 6;
+    const Var u = 4 * k;
+    const Var w = u + 1;
+    QbfProblem q;
+    std::vector<Var> outer;
+    for (Var i = 0; i < k; ++i) {
+        const Var a = 4 * i, b = a + 1, p = a + 2, n = a + 3;
+        outer.insert(outer.end(), {a, b, p, n});
+        q.matrix.addClause({Lit::pos(a)});
+        q.matrix.addClause({Lit::neg(b)});
+        q.matrix.addClause({Lit::pos(p), Lit::pos(u), Lit::pos(w)});
+        q.matrix.addClause({Lit::neg(n), Lit::neg(u), Lit::neg(w)});
+    }
+    q.matrix.addClause({Lit::pos(u), Lit::neg(w)});
+    q.matrix.addClause({Lit::neg(u), Lit::pos(w)});
+    q.prefix.addBlock(QuantKind::Exists, outer);
+    q.prefix.addVar(QuantKind::Forall, u);
+    q.prefix.addVar(QuantKind::Exists, w);
+
+    Aig aig;
+    AigQbfSolver solver;
+    EXPECT_EQ(solver.solve(aig, buildFromCnf(aig, q.matrix), q.prefix), SolveResult::Sat);
+    EXPECT_EQ(QdpllSolver().solve(q.matrix, q.prefix), SolveResult::Sat);
+    EXPECT_EQ(solver.stats().unitEliminations, 2u * k);
+    EXPECT_EQ(solver.stats().pureEliminations, 2u * k);
+    EXPECT_LE(solver.stats().unitPureSweeps, 2u);
+    EXPECT_EQ(solver.stats().existentialEliminations, 1u);
+}
+
+TEST(AigQbfSolver, UniversalUnitAmongExistentialUnitsIsUnsat)
+{
+    QbfProblem q;
+    std::vector<Var> ys;
+    for (Var y = 1; y <= 8; ++y) {
+        ys.push_back(y);
+        q.matrix.addClause({Lit(y, y % 2 == 0)});
+    }
+    q.matrix.addClause({Lit::pos(0)});
+    q.prefix.addBlock(QuantKind::Exists, ys);
+    q.prefix.addVar(QuantKind::Forall, 0);
+    Aig aig;
+    AigQbfSolver solver;
+    EXPECT_EQ(solver.solve(aig, buildFromCnf(aig, q.matrix), q.prefix), SolveResult::Unsat);
+    EXPECT_TRUE(!bruteForceQbf(q));
+    EXPECT_EQ(solver.stats().unitEliminations, 0u);
+    EXPECT_EQ(solver.stats().unitPureSweeps, 1u);
+}
+
+TEST(AigQbfSolver, PositiveAndNegativeUnitFoldsToUnsat)
+{
+    // forall x exists y a b: (y & a) & ((!y & b) & (x | b)), built directly
+    // as an AIG (no CNF, so nothing folds y & !y early): y is a positive and
+    // a negative unit at once.
+    const Var x = 0, y = 1, a = 2, b = 3;
+    Aig aig;
+    const AigEdge m = aig.mkAnd(
+        aig.mkAnd(aig.variable(y), aig.variable(a)),
+        aig.mkAnd(aig.mkAnd(~aig.variable(y), aig.variable(b)),
+                  aig.mkOr(aig.variable(x), aig.variable(b))));
+    ASSERT_FALSE(aig.isConstant(m));
+    const UnitPureInfo info = aig.detectUnitPure(m);
+    ASSERT_NE(std::find(info.posUnit.begin(), info.posUnit.end(), y), info.posUnit.end());
+    ASSERT_NE(std::find(info.negUnit.begin(), info.negUnit.end(), y), info.negUnit.end());
+
+    QbfPrefix prefix;
+    prefix.addVar(QuantKind::Forall, x);
+    prefix.addBlock(QuantKind::Exists, {y, a, b});
+    AigQbfSolver solver;
+    EXPECT_EQ(solver.solve(aig, m, prefix), SolveResult::Unsat);
+    EXPECT_EQ(solver.stats().unitEliminations, 3u); // y once, a, b
+    EXPECT_EQ(solver.stats().unitPureSweeps, 1u);
 }
 
 TEST(AigQbfSolver, UniversalUnitIsUnsat)

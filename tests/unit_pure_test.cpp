@@ -4,12 +4,15 @@
 // reports must satisfy the semantic Definition 5, but monotone variables can
 // be missed when some path parity disagrees.  The property sweep verifies
 // soundness against truth tables; dedicated cases pin down the expected
-// positives and a known incompleteness witness.
+// positives and a known incompleteness witness.  The batched Theorem-5
+// pass built on the detection (eliminateUnitPure) is tested at the end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/aig/aig.hpp"
+#include "src/aig/unit_pure.hpp"
 #include "src/base/rng.hpp"
 
 namespace hqs {
@@ -209,6 +212,121 @@ TEST_P(UnitPureSoundness, DetectionIsSemanticallySound)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, UnitPureSoundness, ::testing::Range(0, 80));
+
+// ----- batched elimination (eliminateUnitPure) -------------------------------
+
+/// Hooks treating every variable as @p quant (except those in @p free) and
+/// logging the fixed values.
+UnitPureHooks loggingHooks(std::map<Var, bool>& fixed, UnitPureQuant quant,
+                           std::vector<Var> free = {})
+{
+    UnitPureHooks hooks;
+    hooks.quantOf = [quant, free](Var v) {
+        return contains(free, v) ? UnitPureQuant::Free : quant;
+    };
+    hooks.eliminate = [&fixed](Var v, UnitPureQuant, bool value) {
+        EXPECT_TRUE(fixed.emplace(v, value).second) << "v" << v << " fixed twice";
+    };
+    hooks.beforeSweep = [] { return true; };
+    return hooks;
+}
+
+TEST(UnitPureElimination, OneSweepFixesEveryIndependentLiteral)
+{
+    // a & !b & (p | x) & (!n | !x) with x free: a, b are units, p, n pure.
+    const Var a = 0, b = 1, p = 2, n = 3, x = 4;
+    Aig aig;
+    const AigEdge vx = aig.variable(x);
+    AigEdge m = aig.mkAndN({aig.variable(a), ~aig.variable(b), aig.mkOr(aig.variable(p), vx),
+                            aig.mkOr(~aig.variable(n), ~vx)});
+    std::map<Var, bool> fixed;
+    const UnitPureOutcome out =
+        eliminateUnitPure(aig, m, loggingHooks(fixed, UnitPureQuant::Exists, {x}));
+    EXPECT_FALSE(out.universalUnit);
+    EXPECT_EQ(out.sweeps, 1u);
+    EXPECT_EQ(out.unitEliminations, 2u);
+    EXPECT_EQ(out.pureEliminations, 2u);
+    EXPECT_EQ(fixed, (std::map<Var, bool>{{a, true}, {b, false}, {p, true}, {n, false}}));
+    EXPECT_EQ(m, aig.constTrue());
+}
+
+TEST(UnitPureElimination, UniversalUnitStopsBeforeFixingAnything)
+{
+    Aig aig;
+    AigEdge m = aig.mkAndN({aig.variable(0), aig.variable(1), aig.mkOr(aig.variable(2), aig.variable(3))});
+    const AigEdge before = m;
+    std::map<Var, bool> fixed;
+    UnitPureHooks hooks = loggingHooks(fixed, UnitPureQuant::Exists);
+    hooks.quantOf = [](Var v) { return v == 1 ? UnitPureQuant::Forall : UnitPureQuant::Exists; };
+    const UnitPureOutcome out = eliminateUnitPure(aig, m, hooks);
+    EXPECT_TRUE(out.universalUnit);
+    EXPECT_EQ(out.sweeps, 1u);
+    EXPECT_TRUE(fixed.empty());
+    EXPECT_EQ(m, before);
+}
+
+TEST(UnitPureElimination, UniversalPureTakesTheHarmfulValue)
+{
+    // (u | y) & (!v | y2) & (y | y2 | !y3): u positive pure -> false, v
+    // negative pure -> true.
+    Aig aig;
+    AigEdge m = aig.mkAndN({aig.mkOr(aig.variable(0), aig.variable(2)),
+                            aig.mkOr(~aig.variable(1), aig.variable(3)),
+                            aig.mkOrN({aig.variable(2), aig.variable(3), ~aig.variable(4)})});
+    std::map<Var, bool> fixed;
+    UnitPureHooks hooks = loggingHooks(fixed, UnitPureQuant::Forall);
+    hooks.quantOf = [](Var v) { return v < 2 ? UnitPureQuant::Forall : UnitPureQuant::Exists; };
+    eliminateUnitPure(aig, m, hooks);
+    EXPECT_EQ(fixed.at(0), false);
+    EXPECT_EQ(fixed.at(1), true);
+}
+
+TEST(UnitPureElimination, StopsWhenBeforeSweepDeclines)
+{
+    Aig aig;
+    AigEdge m = aig.mkAnd(aig.variable(0), aig.variable(1));
+    const AigEdge before = m;
+    std::map<Var, bool> fixed;
+    UnitPureHooks hooks = loggingHooks(fixed, UnitPureQuant::Exists);
+    hooks.beforeSweep = [] { return false; };
+    const UnitPureOutcome out = eliminateUnitPure(aig, m, hooks);
+    EXPECT_EQ(out.sweeps, 0u);
+    EXPECT_EQ(m, before);
+}
+
+/// With every variable existential, the batched pass preserves
+/// satisfiability and its result is f with the logged constants plugged in.
+class UnitPureEliminationSoundness : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnitPureEliminationSoundness, PreservesSatisfiability)
+{
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 3);
+    Aig aig;
+    const Var n = 6;
+    std::vector<AigEdge> pool;
+    for (Var v = 0; v < n; ++v) pool.push_back(aig.variable(v));
+    // Unit conjuncts and monotone variables make multi-literal batches
+    // likely.
+    std::vector<AigEdge> conjuncts;
+    for (int i = 0; i < 10; ++i) {
+        const AigEdge a = pool[rng.below(pool.size())] ^ rng.flip();
+        const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+        pool.push_back(rng.flip() ? aig.mkAnd(a, b) : aig.mkOr(a, b));
+        if (rng.below(3) == 0) conjuncts.push_back(pool.back());
+    }
+    conjuncts.push_back(pool.back());
+    const AigEdge f = aig.mkAndN(conjuncts); // 2^6 assignments: one table word
+
+    AigEdge m = f;
+    std::map<Var, bool> fixed;
+    eliminateUnitPure(aig, m, loggingHooks(fixed, UnitPureQuant::Exists));
+    EXPECT_EQ(truthTable(aig, f, n) != 0, truthTable(aig, m, n) != 0);
+    AigEdge plugged = f;
+    for (const auto& [v, value] : fixed) plugged = aig.cofactor(plugged, v, value);
+    EXPECT_EQ(truthTable(aig, plugged, n), truthTable(aig, m, n));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, UnitPureEliminationSoundness, ::testing::Range(0, 80));
 
 } // namespace
 } // namespace hqs
