@@ -76,6 +76,7 @@
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/components.hpp"
 #include "src/runtime/guard.hpp"
 #include "src/runtime/portfolio.hpp"
 #include "src/strategy/spec.hpp"
@@ -230,6 +231,7 @@ int main(int argc, char** argv)
     bool cacheRead = rcache && cmode == CacheMode::On;
     bool cacheWrite = rcache && cmode != CacheMode::Off;
 
+    ParsedQdimacs parsed;
     DqbfFormula formula;
     cache::CanonicalKey cacheKey;
     std::uint64_t certHash = 0;
@@ -255,8 +257,7 @@ int main(int argc, char** argv)
             std::cout << "c cache               : bypassed (circuit input)\n";
             cacheRead = cacheWrite = false;
         }
-        const ParsedQdimacs parsed = dqcir ? lowerDqcir(parseDqcirString(text))
-                                           : parseDqdimacsString(text);
+        parsed = dqcir ? lowerDqcir(parseDqcirString(text)) : parseDqdimacsString(text);
         if (cacheRead || cacheWrite) {
             cacheKey = cache::canonicalKey(parsed);
             certHash = cert::formulaHash(parsed);
@@ -367,23 +368,20 @@ int main(int argc, char** argv)
     if (spec.kind == api::EngineSpec::Kind::Hqs || spec.kind == api::EngineSpec::Kind::HqsBdd) {
         if (spec.kind == api::EngineSpec::Kind::HqsBdd)
             opts.backend = HqsOptions::Backend::BddElimination;
-        const DqbfFormula original = formula; // kept for certificate checks
-        std::optional<HqsSolver> solverSlot;
+        // One HqsSolver per variable-connected component (a single
+        // component solves the formula as given); stats aggregate.
+        ComponentSolveOutcome solved;
         result = guarded([&](const Deadline& dl) {
             HqsOptions runOpts = opts;
             runOpts.deadline = dl;
-            solverSlot.emplace(runOpts);
-            return solverSlot->solve(std::move(formula));
+            solved = solveByComponents(parsed, runOpts);
+            return solved.result;
         });
-        if (!solverSlot) solverSlot.emplace(opts); // body died before construction
-        HqsSolver& solver = *solverSlot;
-        if (opts.computeSkolem && result == SolveResult::Sat &&
-            solver.skolemCertificate()) {
-            // Production certification path: extract the certificate, then
-            // judge it through the independent serializer/parser/checker —
-            // exactly what dqbf_check would see.
-            const cert::Certificate certificate =
-                cert::extractCertificate(original, *solver.skolemCertificate());
+        if (solved.certificate) {
+            // Production certification path: the extracted (or merged)
+            // certificate is judged through the independent
+            // serializer/parser/checker — exactly what dqbf_check would see.
+            const cert::Certificate& certificate = *solved.certificate;
             const std::string artifact = cert::toCertificateString(certificate);
             cacheCertText = artifact;
             const cert::CheckResult check = selfCheck(artifact);
@@ -395,7 +393,7 @@ int main(int argc, char** argv)
                                            (check.detail.empty() ? "" : ": " + check.detail) +
                                            ")")
                       << "\n";
-            const std::vector<Var>& ys = original.existentials();
+            const std::vector<Var>& ys = formula.existentials();
             for (std::size_t k = 0; k < ys.size(); ++k) {
                 const AigEdge fn = certificate.functions[k];
                 std::cout << "c   s_" << (ys[k] + 1) << " : "
@@ -429,8 +427,9 @@ int main(int argc, char** argv)
             }
         }
         if (wantStats) {
-            const HqsStats& st = solver.stats();
-            std::cout << "c decided by          : " << st.decidedBy << "\n"
+            const HqsStats& st = solved.stats;
+            std::cout << "c components          : " << solved.components << "\n"
+                      << "c decided by          : " << st.decidedBy << "\n"
                       << "c preprocessing       : " << st.preprocess.unitsPropagated
                       << " units, " << st.preprocess.universalLiteralsReduced
                       << " universal reductions, " << st.preprocess.equivalencesSubstituted

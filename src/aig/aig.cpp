@@ -222,6 +222,43 @@ std::size_t Aig::coneSize(AigEdge root) const
     return count;
 }
 
+std::vector<std::size_t> Aig::inputFaninCounts(AigEdge root,
+                                               const std::vector<Var>& vars) const
+{
+    // Slots of AND nodes mark them visited; slots of input nodes count the
+    // fanin references seen so far (inputs are never pushed).
+    trav_.reset(nodes_.size());
+    const std::uint32_t rootIdx = root.nodeIndex();
+    if (rootIdx != 0 && nodes_[rootIdx].extVar != kNoVar) {
+        trav_.set(rootIdx, 1);
+    } else if (rootIdx != 0) {
+        stack_.clear();
+        stack_.push_back(rootIdx);
+        while (!stack_.empty()) {
+            const std::uint32_t idx = stack_.back();
+            stack_.pop_back();
+            if (trav_.has(idx)) continue;
+            trav_.set(idx, 0);
+            const Node& n = nodes_[idx];
+            for (const std::uint32_t f : {n.fanin0.nodeIndex(), n.fanin1.nodeIndex()}) {
+                if (f == 0) continue;
+                if (nodes_[f].extVar != kNoVar) {
+                    trav_.set(f, trav_.has(f) ? trav_.get(f) + 1 : 1);
+                } else {
+                    stack_.push_back(f);
+                }
+            }
+        }
+    }
+    std::vector<std::size_t> counts(vars.size(), 0);
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+        const auto it = inputOfVar_.find(vars[i]);
+        if (it != inputOfVar_.end() && trav_.has(it->second))
+            counts[i] = static_cast<std::size_t>(trav_.get(it->second));
+    }
+    return counts;
+}
+
 bool Aig::evaluate(AigEdge root, const std::vector<bool>& assignment) const
 {
     // Iterative post-order evaluation; slot holds the node's value.

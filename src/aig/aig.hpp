@@ -232,6 +232,11 @@ public:
     std::vector<Var> support(AigEdge root) const;
     /// Number of AND nodes in the cone of @p root.
     std::size_t coneSize(AigEdge root) const;
+    /// Per entry of @p vars, how many AND-node fanins in the cone of @p root
+    /// reference that variable's input (0 = it does not occur; a root that
+    /// is itself the input counts 1).  O(cone + |vars|) on the traversal
+    /// cache.
+    std::vector<std::size_t> inputFaninCounts(AigEdge root, const std::vector<Var>& vars) const;
     /// Total nodes currently allocated in the manager (including garbage).
     std::size_t numNodes() const { return nodes_.size(); }
 

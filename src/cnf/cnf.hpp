@@ -43,6 +43,8 @@ public:
     auto begin() const { return clauses_.begin(); }
     auto end() const { return clauses_.end(); }
 
+    bool operator==(const Cnf&) const = default;
+
 private:
     Var numVars_ = 0;
     std::vector<Clause> clauses_;

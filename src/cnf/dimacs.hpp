@@ -48,6 +48,8 @@ struct ParsedQdimacs {
     Cnf matrix;
     std::vector<PrefixBlockSpec> blocks;
     std::vector<DependencySpec> henkin;
+
+    bool operator==(const ParsedQdimacs&) const = default;
 };
 
 /// Parse DIMACS / QDIMACS / DQDIMACS from a stream.  Throws ParseError on

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/aig/unit_pure.hpp"
@@ -12,38 +10,6 @@
 #include "src/sat/sat_solver.hpp"
 
 namespace hqs {
-namespace {
-
-/// Occurrence count (number of AND-node fanin references) of every variable
-/// in the cone of @p root.  Variables with no entry do not occur.
-std::unordered_map<Var, std::size_t> occurrenceCounts(const Aig& aig, AigEdge root)
-{
-    std::unordered_map<Var, std::size_t> counts;
-    if (aig.isConstant(root)) return counts;
-    if (aig.isInput(root)) {
-        counts[aig.inputVariable(root)] = 1;
-        return counts;
-    }
-    std::unordered_set<std::uint32_t> visited;
-    std::vector<AigEdge> stack{root};
-    while (!stack.empty()) {
-        const AigEdge e = stack.back();
-        stack.pop_back();
-        if (!visited.insert(e.nodeIndex()).second) continue;
-        if (!aig.isAnd(e)) continue;
-        for (const AigEdge f : {aig.fanin0(e), aig.fanin1(e)}) {
-            if (aig.isConstant(f)) continue;
-            if (aig.isInput(f)) {
-                ++counts[aig.inputVariable(f)];
-            } else {
-                stack.push_back(f);
-            }
-        }
-    }
-    return counts;
-}
-
-} // namespace
 
 SolveResult AigQbfSolver::solve(Aig& aig, AigEdge matrix, QbfPrefix prefix)
 {
@@ -123,21 +89,19 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge matrix, QbfPrefix prefix)
     while (!prefix.empty() && !aig.isConstant(matrix)) {
         if (SolveResult r = housekeeping(); r != SolveResult::Unknown) return r;
 
+        // Occurrence counts of the innermost block only: drop block
+        // variables that no longer occur; pick the cheapest occurring one.
         const QbfBlock& block = prefix.blocks().back();
-        const auto counts = occurrenceCounts(aig, matrix);
-
-        // Drop block variables that no longer occur; pick the cheapest
-        // occurring one.
+        const std::vector<std::size_t> counts = aig.inputFaninCounts(matrix, block.vars);
         Var pick = kNoVar;
         std::size_t best = std::numeric_limits<std::size_t>::max();
         std::vector<Var> unsupported;
-        for (Var v : block.vars) {
-            auto it = counts.find(v);
-            if (it == counts.end()) {
-                unsupported.push_back(v);
-            } else if (it->second < best) {
-                best = it->second;
-                pick = v;
+        for (std::size_t i = 0; i < block.vars.size(); ++i) {
+            if (counts[i] == 0) {
+                unsupported.push_back(block.vars[i]);
+            } else if (counts[i] < best) {
+                best = counts[i];
+                pick = block.vars[i];
             }
         }
         for (Var v : unsupported) {

@@ -12,12 +12,12 @@
 
 #include "src/base/timer.hpp"
 #include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/obs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/runtime/components.hpp"
 #include "src/runtime/portfolio.hpp"
 #include "src/runtime/session.hpp"
 #include "src/runtime/thread_pool.hpp"
@@ -160,6 +160,7 @@ struct SolveOutcome {
     /// certifying or the winning engine could not certify) — what the
     /// result cache stores alongside the verdict.
     std::string certificateText;
+    std::size_t components = 0; ///< variable-connected components (hqs rungs)
 };
 
 /// Judge a serialized certificate through the independent parser/checker
@@ -231,8 +232,9 @@ SolveOutcome solveAtRung(const std::string& path, const BatchOptions& opts,
         // Parsing runs inside the guard too: a malformed instance becomes a
         // ParseError failure record, not a dead worker.  Re-parsing per rung
         // costs little against a solve and keeps attempts independent.
-        const DqbfFormula formula = DqbfFormula::fromParsed(parseInstanceFile(path));
+        const ParsedQdimacs parsed = parseInstanceFile(path);
         if (opts.portfolio) {
+            const DqbfFormula formula = DqbfFormula::fromParsed(parsed);
             PortfolioOptions popts;
             popts.maxEngines = opts.portfolioEngines;
             popts.deadline = dl;
@@ -268,19 +270,18 @@ SolveOutcome solveAtRung(const std::string& path, const BatchOptions& opts,
         // Certification needs the Skolem-recording AIG elimination run; BDD
         // fallback rungs answer uncertified rather than not at all.
         if (opts.certify && !rung.bddBackend) hopts.computeSkolem = true;
-        HqsSolver solver(hopts);
-        const SolveResult r = solver.solve(formula);
+        const ComponentSolveOutcome solved = solveByComponents(parsed, hopts);
         out.engine = "hqs";
-        if (r == SolveResult::Sat && hopts.computeSkolem && solver.skolemCertificate()) {
-            Timer extractTimer;
-            const cert::Certificate extracted =
-                cert::extractCertificate(formula, *solver.skolemCertificate());
-            const std::string text = cert::toCertificateString(extracted);
-            out.certificate.extractMs = extractTimer.elapsedMilliseconds();
-            out.certificateText = text;
+        out.components = solved.components;
+        if (solved.certificate) {
+            Timer serializeTimer;
+            std::string text = cert::toCertificateString(*solved.certificate);
+            out.certificate.extractMs =
+                solved.certificateMilliseconds + serializeTimer.elapsedMilliseconds();
             checkSerializedCertificate(out.certificate, text, dl);
+            out.certificateText = std::move(text);
         }
-        return r;
+        return solved.result;
     });
     out.result = guarded.result;
     if (guarded.failure) out.failure = guarded.failure;
@@ -438,6 +439,7 @@ std::string toJsonlLine(const BatchJobResult& r)
         writeJsonString(os, r.dedupOf);
     }
     if (r.cached) os << ",\"cached\":true";
+    if (r.components > 0) os << ",\"components\":" << r.components;
     if (!r.sessionGroup.empty()) {
         os << ",\"session\":{\"group\":";
         writeJsonString(os, r.sessionGroup);
@@ -538,7 +540,10 @@ bool readJsonl(const std::string& line, BatchJobResult& out)
         r.metrics.eliminations = static_cast<std::int64_t>(num);
     if (readJsonNumberField(line, "copies", num))
         r.metrics.copies = static_cast<std::int64_t>(num);
-    if (line.find("\"session\":{") != std::string::npos) {
+    if (line.find("\"session\":{") == std::string::npos) {
+        if (readJsonNumberField(line, "components", num))
+            r.components = static_cast<std::size_t>(num);
+    } else {
         readJsonStringField(line, "group", r.sessionGroup);
         if (readJsonNumberField(line, "components", num))
             r.sessionComponents = static_cast<std::size_t>(num);
@@ -881,6 +886,7 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
                     }
                     r.result = out.result;
                     r.engine = out.engine;
+                    r.components = out.components;
                     r.failure = out.failure;
                     r.metrics = out.metrics;
                     r.certificate = out.certificate;

@@ -171,6 +171,10 @@ struct BatchJobResult {
     /// Verdict came from the result cache instead of a solve (rung is
     /// "cache" and attempts is 0).
     bool cached = false;
+    /// Variable-connected components the final hqs attempt split the
+    /// formula into (0 = no hqs solve: portfolio, cache, or session rows,
+    /// which report theirs in the session block).
+    std::size_t components = 0;
     /// Session-group accounting (BatchOptions::sessionGroup): the family
     /// stem this instance solved under ("" = cold solve), and the session's
     /// incremental reuse for this delta solve.

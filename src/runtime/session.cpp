@@ -1,6 +1,5 @@
 #include "src/runtime/session.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -10,8 +9,6 @@
 #include "src/base/fault.hpp"
 #include "src/cert/certificate.hpp"
 #include "src/circuit/dqcir_parser.hpp"
-#include "src/dqbf/dqbf_formula.hpp"
-#include "src/dqbf/hqs_solver.hpp"
 #include "src/obs/obs.hpp"
 
 namespace hqs {
@@ -115,14 +112,6 @@ std::string joinLines(const std::vector<std::string>& lines)
 // Session
 // ---------------------------------------------------------------------------
 
-/// One variable-connected component of the effective formula, rendered as a
-/// self-contained DQBF over a dense local numbering.
-struct Session::Component {
-    std::vector<Var> vars; ///< global vars, sorted ascending (== localToGlobal)
-    ParsedQdimacs local;
-    std::string text; ///< toDqdimacsString(local): the Skolem-reuse identity
-};
-
 Session::Session(std::string id, const std::string& text, const std::string& format)
     : id_(std::move(id))
 {
@@ -198,7 +187,7 @@ void Session::applyDelta(const SessionDelta& delta)
 
     fault::checkpoint("session-delta");
 
-    // Commit.  The component cache survives every delta: entries are keyed
+    // Commit.  The component memo survives every delta: entries are keyed
     // by canonical component content, which never goes stale.
     if (haveGate) {
         circuitLines_ = std::move(stagedLines);
@@ -225,101 +214,6 @@ ParsedQdimacs Session::effectiveParsed(const std::vector<Lit>& assumptions) cons
     return f;
 }
 
-std::vector<Session::Component> Session::decompose(const ParsedQdimacs& effective) const
-{
-    const Var n = effective.matrix.numVars();
-    std::vector<Var> parent(n);
-    for (Var v = 0; v < n; ++v) parent[v] = v;
-    const auto find = [&parent](Var v) {
-        while (parent[v] != v) {
-            parent[v] = parent[parent[v]]; // path halving
-            v = parent[v];
-        }
-        return v;
-    };
-
-    std::vector<char> occurs(n, 0);
-    for (const Clause& c : effective.matrix) {
-        for (const Lit l : c) occurs[l.var()] = 1;
-        for (std::size_t i = 1; i < c.size(); ++i) {
-            const Var a = find(c[0].var());
-            const Var b = find(c[i].var());
-            if (a != b) parent[b] = a;
-        }
-    }
-
-    // Components ordered by their smallest variable — deterministic, so the
-    // rendered local texts (and hence Skolem reuse) are stable across solves.
-    std::vector<std::size_t> compOf(n, static_cast<std::size_t>(-1));
-    std::vector<Component> comps;
-    for (Var v = 0; v < n; ++v) {
-        if (!occurs[v]) continue;
-        const Var root = find(v);
-        if (compOf[root] == static_cast<std::size_t>(-1)) {
-            compOf[root] = comps.size();
-            comps.emplace_back();
-        }
-        comps[compOf[root]].vars.push_back(v);
-    }
-
-    const cert::NormalizedPrefix np = cert::normalizePrefix(effective);
-    std::vector<char> isUniversal(n, 0);
-    for (const Var u : np.universals)
-        if (u < n) isUniversal[u] = 1;
-    std::vector<std::size_t> existentialIndex(n, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < np.existentials.size(); ++i)
-        if (np.existentials[i] < n) existentialIndex[np.existentials[i]] = i;
-
-    std::vector<Var> globalToLocal(n, kNoVar);
-    for (Component& comp : comps) {
-        for (std::size_t i = 0; i < comp.vars.size(); ++i)
-            globalToLocal[comp.vars[i]] = static_cast<Var>(i);
-
-        comp.local.matrix.ensureVars(static_cast<Var>(comp.vars.size()));
-        PrefixBlockSpec universals{QuantKind::Forall, {}};
-        for (const Var v : comp.vars) {
-            if (isUniversal[v]) {
-                universals.vars.push_back(globalToLocal[v]);
-            } else {
-                DependencySpec d;
-                d.var = globalToLocal[v];
-                const std::size_t ei = existentialIndex[v];
-                if (ei != static_cast<std::size_t>(-1)) {
-                    for (const Var dep : np.deps[ei]) {
-                        // Restrict to this component's universals: a
-                        // universal absent from the component's matrix can
-                        // neither help nor hurt its Skolem functions.
-                        if (dep < n && globalToLocal[dep] != kNoVar &&
-                            compOf[find(dep)] == compOf[find(v)]) {
-                            d.deps.push_back(globalToLocal[dep]);
-                        }
-                    }
-                }
-                comp.local.henkin.push_back(std::move(d));
-            }
-        }
-        if (!universals.vars.empty()) comp.local.blocks.push_back(std::move(universals));
-
-        for (const Var v : comp.vars) globalToLocal[v] = kNoVar; // reset scratch
-    }
-
-    for (const Clause& c : effective.matrix.clauses()) {
-        if (c.empty()) continue; // caller short-circuits on empty clauses
-        const std::size_t idx = compOf[find(c[0].var())];
-        Component& comp = comps[idx];
-        // Rebuild the local view of this component's mapping on demand.
-        Clause local;
-        for (const Lit l : c) {
-            const auto it = std::lower_bound(comp.vars.begin(), comp.vars.end(), l.var());
-            local.push(Lit(static_cast<Var>(it - comp.vars.begin()), l.negative()));
-        }
-        comp.local.matrix.addClause(std::move(local));
-    }
-
-    for (Component& comp : comps) comp.text = toDqdimacsString(comp.local);
-    return comps;
-}
-
 SessionSolveOutcome Session::solve(const SessionSolveOptions& opts,
                                    const std::string& assume)
 {
@@ -327,128 +221,24 @@ SessionSolveOutcome Session::solve(const SessionSolveOptions& opts,
     SessionSolveOutcome out;
     out.usedAssumptions = !assumptions.empty();
     if (out.usedAssumptions) OBS_COUNT("cache.bypass.session", 1);
+    out.effective = effectiveParsed(assumptions);
 
-    const ParsedQdimacs effective = effectiveParsed(assumptions);
-    out.effectiveText = toDqdimacsString(effective);
-    if (effective.matrix.hasEmptyClause()) {
-        out.result = SolveResult::Unsat;
-        return out;
-    }
-
-    const std::vector<Component> comps = decompose(effective);
-    out.components = comps.size();
-
-    std::vector<const ComponentEntry*> entries;
-    std::vector<std::unique_ptr<ComponentEntry>> scratch; // inconclusive, uncached
-    bool sawMemout = false, sawTimeout = false, sawUnknown = false, sawUnsat = false;
-    for (const Component& comp : comps) {
-        const cache::CanonicalKey key = cache::canonicalKey(comp.local);
-        const auto it = componentCache_.find(key);
-        const bool skolemOk =
-            it != componentCache_.end() && it->second.result == SolveResult::Sat &&
-            it->second.skolem && it->second.localText == comp.text;
-        const bool reusable =
-            it != componentCache_.end() && isConclusive(it->second.result) &&
-            (!opts.certify || it->second.result == SolveResult::Unsat || skolemOk);
-
-        const ComponentEntry* entry = nullptr;
-        if (reusable) {
-            ++out.reusedComponents;
-            out.coneNodesSaved += it->second.peakNodes;
-            entry = &it->second;
-        } else {
-            HqsOptions hopts;
-            hopts.deadline = opts.deadline;
-            hopts.nodeLimit = opts.nodeLimit;
-            hopts.computeSkolem = opts.certify;
-            HqsSolver solver(hopts);
-            ComponentEntry fresh;
-            fresh.result = solver.solve(DqbfFormula::fromParsed(comp.local));
-            fresh.peakNodes = std::max<std::int64_t>(
-                static_cast<std::int64_t>(solver.stats().aigKernel.peakLiveNodes),
-                static_cast<std::int64_t>(solver.stats().peakConeSize));
-            fresh.localText = comp.text;
-            if (opts.certify && fresh.result == SolveResult::Sat &&
-                solver.skolemCertificate()) {
-                fresh.skolem = *solver.skolemCertificate();
-            }
-            if (isConclusive(fresh.result)) {
-                entry = &(componentCache_[key] = std::move(fresh));
-            } else {
-                scratch.push_back(std::make_unique<ComponentEntry>(std::move(fresh)));
-                entry = scratch.back().get();
-            }
-        }
-        entries.push_back(entry);
-
-        switch (entry->result) {
-        case SolveResult::Unsat: sawUnsat = true; break;
-        case SolveResult::Memout: sawMemout = true; break;
-        case SolveResult::Timeout: sawTimeout = true; break;
-        case SolveResult::Unknown: sawUnknown = true; break;
-        case SolveResult::Sat: break;
-        }
-        if (sawUnsat) break; // the conjunction is already refuted
-    }
-
-    if (sawUnsat) {
-        out.result = SolveResult::Unsat;
-    } else if (sawMemout) {
-        out.result = SolveResult::Memout;
-    } else if (sawTimeout) {
-        out.result = SolveResult::Timeout;
-    } else if (sawUnknown) {
-        out.result = SolveResult::Unknown;
-    } else {
-        out.result = SolveResult::Sat;
-        if (opts.certify) out.certificate = buildCertificate(effective, comps, entries);
-    }
+    HqsOptions hopts;
+    hopts.deadline = opts.deadline;
+    hopts.nodeLimit = opts.nodeLimit;
+    hopts.computeSkolem = opts.certify;
+    const ComponentSolveOutcome solved = solveByComponents(out.effective, hopts, &memo_);
+    out.result = solved.result;
+    out.components = solved.components;
+    out.reusedComponents = solved.reusedComponents;
+    out.coneNodesSaved = solved.coneNodesSaved;
+    if (solved.certificate) out.certificate = cert::toCertificateString(*solved.certificate);
 
     if (out.reusedComponents > 0) OBS_COUNT("session.reuse", 1);
     if (out.coneNodesSaved > 0)
         OBS_COUNT("session.cone_nodes_saved",
                   static_cast<std::uint64_t>(out.coneNodesSaved));
     return out;
-}
-
-std::string Session::buildCertificate(const ParsedQdimacs& effective,
-                                      const std::vector<Component>& comps,
-                                      const std::vector<const ComponentEntry*>& entries) const
-{
-    // Mirror cert::extractCertificate: the certificate binds to the
-    // normalized effective formula, one function per existential in
-    // declaration order, constFalse for unconstrained ones.
-    const DqbfFormula f = DqbfFormula::fromParsed(effective);
-    cert::Certificate cert;
-    cert.formula = f.toParsed();
-    cert.hash = cert::formulaHash(cert.formula);
-    cert.aig = std::make_shared<Aig>();
-
-    std::unordered_map<Var, AigEdge> merged;
-    for (std::size_t i = 0; i < comps.size(); ++i) {
-        if (!entries[i]->skolem) return std::string(); // no trace, no artifact
-        const AigSkolemCertificate& sk = *entries[i]->skolem;
-        const std::vector<Var>& localToGlobal = comps[i].vars;
-        Substitution toGlobal;
-        for (const auto& [localVar, edge] : sk.functions) {
-            if (localVar >= localToGlobal.size()) continue; // solver-internal var
-            const AigEdge imported = cert.aig->importCone(*sk.aig, edge);
-            toGlobal.clear();
-            for (const Var lv : cert.aig->support(imported)) {
-                if (lv >= localToGlobal.size()) return std::string();
-                toGlobal.set(lv, cert.aig->variable(localToGlobal[lv]));
-            }
-            merged[localToGlobal[localVar]] =
-                toGlobal.empty() ? imported : cert.aig->substitute(imported, toGlobal);
-        }
-    }
-
-    for (const Var y : f.existentials()) {
-        const auto it = merged.find(y);
-        cert.functions.push_back(it == merged.end() ? cert.aig->constFalse()
-                                                    : it->second);
-    }
-    return cert::toCertificateString(cert);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,26 +8,17 @@
 //   base  +  active clause groups (in add order)  +  assumption units
 //
 // Incrementality is PQE-style scoping by connected components: the
-// effective formula splits into variable-connected components (a clause
-// connects the variables it mentions), each component is rendered as a
-// self-contained DQBF over a dense local numbering — dependency sets
-// restricted to the component's universals, which is sound in both
-// directions because a universal that never occurs in a component's matrix
-// cannot help or hurt its Skolem functions — and solved independently.  The
-// session keeps a per-component result cache keyed by the component's
-// cache::canonicalKey, so a delta re-runs elimination only on the cones
-// (components) it actually touched; untouched components are answered from
-// the cache and their skipped elimination work is accounted in
-// session.cone_nodes_saved.
-//
-// Verdict combination is the DQBF conjunction rule over disjoint variable
-// sets: UNSAT if any component is UNSAT, SAT when all are SAT (Skolem
-// functions compose independently), the worst inconclusive outcome
-// otherwise.  Certificates for delta solves are re-extracted against the
-// *effective* formula: per-component Skolem AIGs are imported into one
-// manager, their local inputs substituted back to the effective variable
-// numbering, and the merged artifact is byte-checkable by dqbf_check
-// exactly like a cold solve's.
+// effective formula goes through the shared decomposition path
+// (src/runtime/components.hpp), which splits it into variable-connected
+// components, solves each as a self-contained DQBF over a dense local
+// numbering, combines the verdicts, and merges the Skolem certificates.
+// The session only contributes its component memo, keyed by each
+// component's cache::canonicalKey, so a delta re-runs elimination only on
+// the cones (components) it actually touched; untouched components are
+// answered from the memo and their skipped elimination work is accounted
+// in session.cone_nodes_saved.  Certificates of delta solves bind to the
+// *effective* formula and are byte-checkable by dqbf_check exactly like a
+// cold solve's.
 //
 // Sessions run on the HQS engine only (api::SolveRequest::validate()
 // rejects anything else): elimination is the engine whose per-component
@@ -54,7 +45,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -62,9 +52,8 @@
 
 #include "src/base/result.hpp"
 #include "src/base/timer.hpp"
-#include "src/cache/canonical.hpp"
 #include "src/cnf/dimacs.hpp"
-#include "src/dqbf/skolem_recorder.hpp"
+#include "src/runtime/components.hpp"
 
 namespace hqs {
 
@@ -111,12 +100,12 @@ struct SessionSolveOutcome {
     /// Serialized certificate of a certify+Sat solve ("" otherwise, or when
     /// a component's Skolem trace was unavailable).
     std::string certificate;
-    /// The effective formula this solve decided, as DQDIMACS text
-    /// (assumptions included as unit clauses).  A cold solve of this text
-    /// must agree with @ref result — the differential suite's contract.
-    std::string effectiveText;
+    /// The effective formula this solve decided (assumptions included as
+    /// unit clauses).  A cold solve of its DQDIMACS rendering must agree
+    /// with @ref result — the differential suite's contract.
+    ParsedQdimacs effective;
     std::size_t components = 0;        ///< components of the effective formula
-    std::size_t reusedComponents = 0;  ///< answered from the component cache
+    std::size_t reusedComponents = 0;  ///< answered from the component memo
     std::int64_t coneNodesSaved = 0;   ///< peak-AIG-node work skipped via reuse
     /// Solve carried assumption literals: the effective formula is
     /// request-local, so callers skip whole-formula canonicalization and
@@ -150,25 +139,7 @@ public:
                               const std::string& assume = std::string());
 
 private:
-    struct Component; // one variable-connected component, dense local form
-
-    /// One solved component, keyed by its canonical hash.
-    struct ComponentEntry {
-        SolveResult result = SolveResult::Unknown;
-        std::int64_t peakNodes = 0; ///< what re-solving it would cost again
-        /// Exact local DQDIMACS of the solve that filled this entry; Skolem
-        /// reuse requires byte equality (the canonical key identifies the
-        /// formula up to renaming, but the stored functions are over one
-        /// concrete local numbering).
-        std::string localText;
-        std::optional<AigSkolemCertificate> skolem; ///< local-numbered functions
-    };
-
     ParsedQdimacs effectiveParsed(const std::vector<Lit>& assumptions) const;
-    std::vector<Component> decompose(const ParsedQdimacs& effective) const;
-    std::string buildCertificate(const ParsedQdimacs& effective,
-                                 const std::vector<Component>& comps,
-                                 const std::vector<const ComponentEntry*>& entries) const;
 
     std::string id_;
     ParsedQdimacs base_;
@@ -176,7 +147,7 @@ private:
     /// one line and re-lowers into base_.
     std::vector<std::string> circuitLines_;
     std::vector<std::pair<std::string, std::vector<Clause>>> groups_;
-    std::unordered_map<cache::CanonicalKey, ComponentEntry> componentCache_;
+    ComponentMemo memo_;
     std::uint64_t deltasApplied_ = 0;
 };
 

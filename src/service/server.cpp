@@ -35,6 +35,7 @@
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/components.hpp"
 #include "src/runtime/guard.hpp"
 #include "src/runtime/portfolio.hpp"
 #include "src/runtime/session.hpp"
@@ -957,6 +958,7 @@ struct SolverService::Impl {
                                                                         : "hqs";
         FailureInfo raceFailure;
         std::string certText; ///< serialized certificate of a certify+Sat solve
+        std::size_t components = 0; ///< variable-connected components (hqs engines)
 
         // Request shaping: resolve the strategy spec, then the effective
         // cache mode (strategy policy, overridden by the request's
@@ -981,14 +983,16 @@ struct SolverService::Impl {
         const bool cacheRead = rcache && cmode == CacheMode::On && !dqcir;
         const bool cacheWrite = rcache && cmode != CacheMode::Off && !dqcir;
 
+        // One parse per request, shared by the cache key and the solve.
+        std::optional<ParsedQdimacs> parsed;
         cache::CanonicalKey ckey;
         std::uint64_t chash = 0;
         bool keyed = false;
         if (cacheRead || cacheWrite) {
             try {
-                const ParsedQdimacs parsed = parseDqdimacsString(formula);
-                ckey = cache::canonicalKey(parsed);
-                chash = cert::formulaHash(parsed);
+                parsed = parseDqdimacsString(formula);
+                ckey = cache::canonicalKey(*parsed);
+                chash = cert::formulaHash(*parsed);
                 keyed = true;
             } catch (const std::exception&) {
                 // Unparsable body: the solve path below reports the
@@ -1068,9 +1072,26 @@ struct SolverService::Impl {
         gopts.rssLimitBytes = ropts.rssLimitBytes;
         const GuardedOutcome outcome = runGuarded(gopts, [&](const Deadline& dl) {
             if (opts.solveOverride) return opts.solveOverride(formula, ropts, dl);
-            const DqbfFormula f = DqbfFormula::fromParsed(
-                dqcir ? lowerDqcir(parseDqcirString(formula))
-                      : parseDqdimacsString(formula));
+            if (!parsed) {
+                parsed = dqcir ? lowerDqcir(parseDqcirString(formula))
+                               : parseDqdimacsString(formula);
+            }
+            if (spec.kind == EngineSpec::Kind::Hqs || spec.kind == EngineSpec::Kind::HqsBdd) {
+                HqsOptions hopts;
+                hopts.deadline = dl;
+                hopts.nodeLimit = opts.nodeLimit;
+                if (spec.kind == EngineSpec::Kind::HqsBdd)
+                    hopts.backend = HqsOptions::Backend::BddElimination;
+                // vetRequest rejected certify+hqs-bdd, so this never
+                // overrides the BDD backend choice above.
+                hopts.computeSkolem = ropts.certify;
+                const ComponentSolveOutcome solved = solveByComponents(*parsed, hopts);
+                components = solved.components;
+                if (solved.certificate)
+                    certText = cert::toCertificateString(*solved.certificate);
+                return solved.result;
+            }
+            const DqbfFormula f = DqbfFormula::fromParsed(*parsed);
             if (spec.kind == EngineSpec::Kind::Portfolio) {
                 PortfolioOptions popts;
                 popts.deadline = dl;
@@ -1089,27 +1110,12 @@ struct SolverService::Impl {
                 certText = solver.stats().winnerCertificate;
                 return r;
             }
-            if (spec.kind == EngineSpec::Kind::Cegar) {
-                CegarOptions copts;
-                copts.deadline = dl;
-                copts.ruleLimit = opts.nodeLimit;
-                copts.computeSkolem = ropts.certify;
-                CegarSolver solver(copts);
-                const SolveResult r = solver.solve(f);
-                if (ropts.certify && r == SolveResult::Sat && solver.skolemCertificate())
-                    certText = cert::toCertificateString(
-                        cert::extractCertificate(f, *solver.skolemCertificate()));
-                return r;
-            }
-            HqsOptions hopts;
-            hopts.deadline = dl;
-            hopts.nodeLimit = opts.nodeLimit;
-            if (spec.kind == EngineSpec::Kind::HqsBdd)
-                hopts.backend = HqsOptions::Backend::BddElimination;
-            // vetRequest rejected certify+hqs-bdd, so this never overrides
-            // the BDD backend choice above.
-            if (ropts.certify) hopts.computeSkolem = true;
-            HqsSolver solver(hopts);
+            // vetRequest rejected idq and expand: what is left is cegar.
+            CegarOptions copts;
+            copts.deadline = dl;
+            copts.ruleLimit = opts.nodeLimit;
+            copts.computeSkolem = ropts.certify;
+            CegarSolver solver(copts);
             const SolveResult r = solver.solve(f);
             if (ropts.certify && r == SolveResult::Sat && solver.skolemCertificate())
                 certText = cert::toCertificateString(
@@ -1131,6 +1137,7 @@ struct SolverService::Impl {
         std::string body = "\"result\":\"" + toString(outcome.result) + "\"";
         body += ",\"wall_ms\":" + std::to_string(wallMs);
         if (!engineName.empty()) body += ",\"engine\":\"" + jsonEscape(engineName) + "\"";
+        if (components > 0) body += ",\"components\":" + std::to_string(components);
         if (failure) {
             body += ",\"failure\":{\"kind\":\"" + std::string(toString(failure.kind)) +
                     "\",\"site\":\"" + jsonEscape(failure.site) + "\",\"what\":\"" +
@@ -1274,34 +1281,34 @@ struct SolverService::Impl {
             }
             if (op.ropts.certify && guarded.result == SolveResult::Sat)
                 status = appendCertificate(body, outcome.certificate, gopts.deadline);
-            // Session solves feed the shared content-addressed cache under
-            // the canonical key of the *effective* formula — a later cold
-            // solve of the same text hits.  Assumption-carrying solves are
-            // request-local and skip it (Session counted cache.bypass.session).
-            if (!outcome.usedAssumptions && isConclusive(guarded.result) &&
-                opts.resultCache && !opts.solveOverride &&
-                op.ropts.cacheControl != "off") {
-                try {
-                    const ParsedQdimacs parsed =
-                        parseDqdimacsString(outcome.effectiveText);
-                    cache::CacheEntry entry;
-                    entry.result = guarded.result;
-                    entry.engine = "hqs";
-                    entry.solveMilliseconds = wallMs;
-                    entry.certFormulaHash = cert::formulaHash(parsed);
-                    entry.certificate = outcome.certificate;
-                    opts.resultCache->store(cache::canonicalKey(parsed), entry);
-                    counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
-                } catch (const std::exception&) {
-                    // A cache write failure never taints the verdict.
-                }
-            }
         }
         {
             std::lock_guard<std::mutex> lock(completionMu);
             completions.push_back({op.reqId, std::move(body), status, {}});
         }
         wake();
+
+        // Session solves feed the shared content-addressed cache under the
+        // canonical key of the *effective* formula — a later cold solve of
+        // the same text hits.  The reply is already on its way: keying is
+        // off the session's latency path.  Assumption-carrying solves are
+        // request-local and skip it (Session counted cache.bypass.session).
+        if (typedError.empty() && !outcome.usedAssumptions &&
+            isConclusive(guarded.result) && opts.resultCache && !opts.solveOverride &&
+            op.ropts.cacheControl != "off") {
+            try {
+                cache::CacheEntry entry;
+                entry.result = guarded.result;
+                entry.engine = "hqs";
+                entry.solveMilliseconds = wallMs;
+                entry.certFormulaHash = cert::formulaHash(outcome.effective);
+                entry.certificate = std::move(outcome.certificate);
+                opts.resultCache->store(cache::canonicalKey(outcome.effective), entry);
+                counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
+            } catch (const std::exception&) {
+                // A cache write failure never taints the verdict.
+            }
+        }
     }
 
     /// Attach the certificate of a certify+Sat solve to @p body: the

@@ -3,6 +3,8 @@
 // CNF bridge, and garbage collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/aig/aig.hpp"
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
@@ -205,6 +207,54 @@ TEST(Aig, ConeSizeCountsAndNodes)
     EXPECT_EQ(aig.coneSize(aig.mkAnd(x, y)), 1u);
     const AigEdge f = aig.mkXor(x, y); // 3 AND nodes
     EXPECT_EQ(aig.coneSize(f), 3u);
+}
+
+TEST(Aig, InputFaninCountsMatchAReferenceWalk)
+{
+    // Reference: every AND node of the cone once, each input fanin counted.
+    const auto reference = [](const Aig& aig, AigEdge root, Var v) -> std::size_t {
+        if (aig.isConstant(root)) return 0;
+        if (aig.isInput(root)) return aig.inputVariable(root) == v ? 1 : 0;
+        std::vector<std::uint32_t> seen;
+        std::vector<AigEdge> stack{root};
+        std::size_t count = 0;
+        while (!stack.empty()) {
+            const AigEdge e = stack.back();
+            stack.pop_back();
+            if (std::find(seen.begin(), seen.end(), e.nodeIndex()) != seen.end()) continue;
+            seen.push_back(e.nodeIndex());
+            for (const AigEdge f : {aig.fanin0(e), aig.fanin1(e)}) {
+                if (aig.isConstant(f)) continue;
+                if (aig.isInput(f)) {
+                    if (aig.inputVariable(f) == v) ++count;
+                } else {
+                    stack.push_back(f);
+                }
+            }
+        }
+        return count;
+    };
+    Rng rng(17);
+    for (int round = 0; round < 50; ++round) {
+        Aig aig;
+        std::vector<AigEdge> pool;
+        for (Var v = 0; v < 6; ++v) pool.push_back(aig.variable(v));
+        for (int i = 0; i < 20; ++i) {
+            const AigEdge a = pool[rng.below(pool.size())];
+            const AigEdge b = pool[rng.below(pool.size())];
+            pool.push_back(aig.mkAnd(rng.flip() ? ~a : a, rng.flip() ? ~b : b));
+        }
+        const AigEdge root = pool[rng.below(pool.size())];
+        const std::vector<Var> vars{5, 0, 3, 7}; // 7 has no input node
+        const std::vector<std::size_t> counts = aig.inputFaninCounts(root, vars);
+        ASSERT_EQ(counts.size(), vars.size());
+        for (std::size_t i = 0; i < vars.size(); ++i)
+            EXPECT_EQ(counts[i], reference(aig, root, vars[i])) << "round " << round;
+    }
+    Aig aig;
+    const AigEdge x = aig.variable(2);
+    EXPECT_EQ(aig.inputFaninCounts(~x, {2}), std::vector<std::size_t>{1});
+    EXPECT_EQ(aig.inputFaninCounts(aig.constTrue(), {2}), std::vector<std::size_t>{0});
 }
 
 TEST(Aig, SimulateMatchesEvaluate)

@@ -1,4 +1,4 @@
-// Shared test helper: certify a Skolem certificate through the production
+// Shared test helpers: check a Skolem certificate through the production
 // path.
 #pragma once
 
@@ -13,14 +13,11 @@
 
 namespace hqs {
 
-/// Production-path verification (the pipeline `dqbf_solve --certify` +
-/// `dqbf_check` exercise): extract the certificate artifact, serialize it,
-/// re-parse, and run the independent checker.
-inline ::testing::AssertionResult certifiesThroughProduction(
-    const DqbfFormula& f, const AigSkolemCertificate& skolem)
+/// Serialize @p certificate, re-parse it, and run the independent checker
+/// — what `dqbf_check` does with the artifact.
+inline ::testing::AssertionResult checksThroughProduction(const cert::Certificate& certificate)
 {
-    const std::string text =
-        cert::toCertificateString(cert::extractCertificate(f, skolem));
+    const std::string text = cert::toCertificateString(certificate);
     cert::Certificate parsed;
     std::string detail;
     const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
@@ -33,6 +30,15 @@ inline ::testing::AssertionResult certifiesThroughProduction(
                << "check failed: " << cert::toString(res.status) << " (" << res.detail
                << ")";
     return ::testing::AssertionSuccess();
+}
+
+/// Production-path verification (the pipeline `dqbf_solve --certify` +
+/// `dqbf_check` exercise): extract the certificate artifact, then check it
+/// as above.
+inline ::testing::AssertionResult certifiesThroughProduction(
+    const DqbfFormula& f, const AigSkolemCertificate& skolem)
+{
+    return checksThroughProduction(cert::extractCertificate(f, skolem));
 }
 
 } // namespace hqs

@@ -1,5 +1,6 @@
 // Tests for the parallel runtime: CancelToken/Deadline semantics, the
-// bounded ThreadPool, portfolio racing, and the batch scheduler.
+// bounded ThreadPool, portfolio racing, the batch scheduler, and the shared
+// component decomposition path (src/runtime/components.hpp).
 //
 // Cancellation tests assert the contract "a fired token yields Timeout —
 // not a wrong answer and not a hang".  Where a test needs a formula that is
@@ -7,6 +8,7 @@
 // the PEC families for an instance the solver cannot finish in 100 ms and
 // skips (rather than flakes) if every probe solves instantly.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,15 +21,21 @@
 #include <vector>
 
 #include "src/base/cancel.hpp"
+#include "src/base/rng.hpp"
 #include "src/base/timer.hpp"
+#include "src/cert/extract.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
+#include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/idq/idq_solver.hpp"
+#include "src/obs/obs.hpp"
 #include "src/pec/pec_encoder.hpp"
 #include "src/runtime/batch.hpp"
+#include "src/runtime/components.hpp"
 #include "src/runtime/portfolio.hpp"
 #include "src/runtime/thread_pool.hpp"
+#include "tests/certify.hpp"
 
 using namespace hqs;
 
@@ -536,4 +544,294 @@ TEST(Guard, DisconnectedCancelForwardedMidRun)
     });
     killer.join();
     EXPECT_EQ(out.failure.kind, FailureKind::ClientGone);
+}
+
+// --- component decomposition ------------------------------------------------
+
+namespace {
+
+/// Two variable-disjoint components with interleaved numbering:
+///   A: forall u1 u3, exists e5(u1,u3): e5 <-> (u1 and u3)     (SAT)
+///   B: forall u2,    exists e4(u2):    e4 <-> u2   (copycat)  (SAT)
+/// plus u6, declared and used by no clause.  e5 also lists u2 (from B) in
+/// its dependency set, which the split must drop.
+const char* kInterleavedTwoComponents =
+    "p cnf 6 5\n"
+    "a 1 2 3 6 0\n"
+    "d 4 2 0\n"
+    "d 5 1 2 3 0\n"
+    "-5 1 0\n"
+    "-5 3 0\n"
+    "5 -1 -3 0\n"
+    "2 -4 0\n"
+    "-2 4 0\n";
+
+std::int64_t counterValue(const obs::MetricScope& scope, const char* name)
+{
+    return scope.value(obs::metric(name, obs::MetricKind::Counter));
+}
+
+/// Random DQBF whose variables fall into up to four clause buckets (so
+/// usually several components), numbered in shuffled order.  Some variables
+/// land in no clause, some buckets hold only universals, dependency sets
+/// cross buckets, and about one formula in twenty gets an empty clause.
+ParsedQdimacs randomMultiComponent(Rng& rng)
+{
+    DqbfFormula f;
+    std::vector<Var> universals, all;
+    const unsigned numUniv = static_cast<unsigned>(rng.below(7));
+    const unsigned numExist = 1 + static_cast<unsigned>(rng.below(7));
+    for (unsigned i = 0; i < numUniv; ++i) universals.push_back(f.addUniversal());
+    all = universals;
+    for (unsigned i = 0; i < numExist; ++i) {
+        std::vector<Var> deps;
+        for (const Var x : universals)
+            if (rng.flip()) deps.push_back(x);
+        all.push_back(f.addExistential(std::move(deps)));
+    }
+    const unsigned buckets = 1 + static_cast<unsigned>(rng.below(4));
+    std::vector<std::vector<Var>> members(buckets + 1); // last: in no clause
+    for (const Var v : all) members[rng.below(buckets + 1)].push_back(v);
+    if (rng.below(4) == 0) {
+        // A universal-only bucket.
+        members.push_back({f.addUniversal(), f.addUniversal()});
+    }
+    for (std::size_t b = 0; b < members.size(); ++b) {
+        if (b == buckets || members[b].empty()) continue;
+        const unsigned clauses = 1 + static_cast<unsigned>(rng.below(4));
+        for (unsigned c = 0; c < clauses; ++c) {
+            Clause cl;
+            const unsigned width = 1 + static_cast<unsigned>(rng.below(3));
+            for (unsigned j = 0; j < width; ++j)
+                cl.push(Lit(members[b][rng.below(members[b].size())], rng.flip()));
+            f.matrix().addClause(std::move(cl));
+        }
+    }
+    if (rng.below(20) == 0) f.matrix().addClause(Clause());
+    return f.toParsed();
+}
+
+} // namespace
+
+TEST(Components, SplitRenumbersDenselyAndRestrictsDependencies)
+{
+    const ParsedQdimacs f = parseDqdimacsString(kInterleavedTwoComponents);
+    const std::vector<FormulaComponent> comps = splitComponents(f);
+    ASSERT_EQ(comps.size(), 2u);
+    // Ordered by smallest variable; u6 (in no clause) belongs to neither.
+    EXPECT_EQ(comps[0].vars, (std::vector<Var>{0, 2, 4}));
+    EXPECT_EQ(comps[1].vars, (std::vector<Var>{1, 3}));
+    // A: local 0,1 universal; local 2 (e5) depends on both, not on u2.
+    ASSERT_EQ(comps[0].local.blocks.size(), 1u);
+    EXPECT_EQ(comps[0].local.blocks[0].vars, (std::vector<Var>{0, 1}));
+    ASSERT_EQ(comps[0].local.henkin.size(), 1u);
+    EXPECT_EQ(comps[0].local.henkin[0].var, 2u);
+    EXPECT_EQ(comps[0].local.henkin[0].deps, (std::vector<Var>{0, 1}));
+    EXPECT_EQ(comps[0].local.matrix.numClauses(), 3u);
+    EXPECT_EQ(comps[1].local.matrix.numClauses(), 2u);
+    EXPECT_EQ(comps[1].local.matrix.numVars(), 2u);
+}
+
+TEST(Components, MultiComponentSatMergesACheckableCertificate)
+{
+    const ParsedQdimacs f = parseDqdimacsString(kInterleavedTwoComponents);
+    HqsOptions opts;
+    opts.computeSkolem = true;
+    obs::MetricScope scope;
+    const ComponentSolveOutcome out = solveByComponents(f, opts);
+    EXPECT_EQ(out.result, SolveResult::Sat);
+    EXPECT_EQ(out.components, 2u);
+    ASSERT_TRUE(out.certificate.has_value());
+    EXPECT_TRUE(checksThroughProduction(*out.certificate));
+    // Bound to the whole formula, one function per existential.
+    const DqbfFormula whole = DqbfFormula::fromParsed(f);
+    EXPECT_EQ(out.certificate->hash, cert::formulaHash(whole.toParsed()));
+    EXPECT_EQ(out.certificate->functions.size(), whole.existentials().size());
+#if HQS_OBS_ENABLED
+    EXPECT_EQ(counterValue(scope, "components.split"), 1);
+    EXPECT_EQ(counterValue(scope, "components.solved"), 2);
+#endif
+}
+
+TEST(Components, SingleComponentSolvesTheFormulaAsGivenOnce)
+{
+    // A PEC instance is one component: the shared path must run exactly one
+    // HqsSolver on the formula as given — same stats, same certificate
+    // bytes as a direct solve, no split.
+    const DqbfFormula direct = encodePec(makeInstance(Family::Adder, 3, true)).formula;
+    const ParsedQdimacs f = direct.toParsed();
+    HqsOptions opts;
+    opts.computeSkolem = true;
+
+    obs::MetricScope scope;
+    const ComponentSolveOutcome out = solveByComponents(f, opts);
+    HqsSolver reference(opts);
+    const SolveResult expected = reference.solve(DqbfFormula::fromParsed(f));
+
+    EXPECT_EQ(out.components, 1u);
+    ASSERT_EQ(out.result, expected);
+    ASSERT_EQ(out.result, SolveResult::Sat);
+    EXPECT_EQ(out.stats.decidedBy, reference.stats().decidedBy);
+    EXPECT_EQ(out.stats.peakConeSize, reference.stats().peakConeSize);
+    EXPECT_EQ(out.stats.copiesIntroduced, reference.stats().copiesIntroduced);
+    EXPECT_EQ(out.stats.aigKernel.strashProbes, reference.stats().aigKernel.strashProbes);
+    ASSERT_TRUE(out.certificate.has_value());
+    ASSERT_TRUE(reference.skolemCertificate().has_value());
+    EXPECT_EQ(cert::toCertificateString(*out.certificate),
+              cert::toCertificateString(cert::extractCertificate(
+                  DqbfFormula::fromParsed(f), *reference.skolemCertificate())));
+#if HQS_OBS_ENABLED
+    EXPECT_EQ(counterValue(scope, "components.split"), 0);
+    EXPECT_EQ(counterValue(scope, "components.solved"), 1);
+#endif
+}
+
+TEST(Components, UnsatComponentWinsOverAMemoutComponent)
+{
+    // Component A: a PEC instance that cannot fit a 40-node budget.
+    // Component B (numbered after A): an existential forced both ways.
+    ParsedQdimacs f = encodePec(makeInstance(Family::Adder, 3, true)).formula.toParsed();
+    HqsOptions opts;
+    opts.nodeLimit = 40;
+    {
+        HqsSolver alone(opts);
+        ASSERT_EQ(alone.solve(DqbfFormula::fromParsed(f)), SolveResult::Memout)
+            << "component A no longer memouts at 40 nodes; pick a larger one";
+    }
+    const Var e = f.matrix.numVars();
+    f.matrix.addClause(Clause({Lit(e, false)}));
+    f.matrix.addClause(Clause({Lit(e, true)}));
+
+    obs::MetricScope scope;
+    const ComponentSolveOutcome out = solveByComponents(f, opts);
+    EXPECT_EQ(out.components, 2u);
+    EXPECT_EQ(out.result, SolveResult::Unsat);
+#if HQS_OBS_ENABLED
+    EXPECT_EQ(counterValue(scope, "components.solved"), 2); // A memouts first
+#endif
+
+    // With B made satisfiable, A's Memout is the verdict.
+    f.matrix.clauses().pop_back();
+    EXPECT_EQ(solveByComponents(f, opts).result, SolveResult::Memout);
+}
+
+TEST(Components, EmptyClauseNextToOtherComponentsIsUnsatWithoutSolving)
+{
+    ParsedQdimacs f = parseDqdimacsString(kInterleavedTwoComponents);
+    f.matrix.addClause(Clause());
+    obs::MetricScope scope;
+    const ComponentSolveOutcome out = solveByComponents(f, HqsOptions{});
+    EXPECT_EQ(out.result, SolveResult::Unsat);
+    EXPECT_EQ(out.components, 2u);
+#if HQS_OBS_ENABLED
+    EXPECT_EQ(counterValue(scope, "components.solved"), 0);
+#endif
+}
+
+TEST(Components, IsomorphicComponentsKeepTheirOwnSkolemFunctions)
+{
+    // Two copycat components with the same canonical key but different
+    // local numberings (universal first vs existential first).  Under a
+    // memo and certify, the second is re-solved; the merged certificate
+    // must still use the first component's own functions.
+    const ParsedQdimacs f = parseDqdimacsString(
+        "p cnf 4 4\n"
+        "a 1 4 0\n"
+        "d 2 1 0\n"
+        "d 3 4 0\n"
+        "1 -2 0\n"
+        "-1 2 0\n"
+        "3 -4 0\n"
+        "-3 4 0\n");
+    ComponentMemo memo;
+    HqsOptions opts;
+    opts.computeSkolem = true;
+    const ComponentSolveOutcome out = solveByComponents(f, opts, &memo);
+    EXPECT_EQ(out.result, SolveResult::Sat);
+    EXPECT_EQ(out.components, 2u);
+    EXPECT_EQ(out.reusedComponents, 0u);
+    ASSERT_TRUE(out.certificate.has_value());
+    EXPECT_TRUE(checksThroughProduction(*out.certificate));
+    EXPECT_EQ(memo.entries.size(), 1u);
+}
+
+TEST(Components, DifferentialFuzzAgainstMonolithicHqsAndExpansion)
+{
+    Rng rng(20261020);
+    int split = 0, sat = 0;
+    // One memo across all formulas, as a long-lived session would keep:
+    // small components recur, so certified reuse is exercised too.
+    ComponentMemo memo;
+    std::size_t reused = 0;
+    for (int seed = 0; seed < 600; ++seed) {
+        const ParsedQdimacs f = randomMultiComponent(rng);
+        const DqbfFormula whole = DqbfFormula::fromParsed(f);
+        const SolveResult oracle = expansionDqbf(whole);
+        ASSERT_TRUE(isConclusive(oracle)) << "seed " << seed;
+
+        HqsSolver mono{HqsOptions{}};
+        EXPECT_EQ(mono.solve(whole), oracle) << "seed " << seed << "\n"
+                                             << toDqdimacsString(f);
+        const ComponentSolveOutcome dec = solveByComponents(f, HqsOptions{});
+        EXPECT_EQ(dec.result, oracle) << "seed " << seed << "\n" << toDqdimacsString(f);
+        if (dec.components > 1) ++split;
+
+        HqsOptions certify;
+        certify.computeSkolem = true;
+        const ComponentSolveOutcome cdec = solveByComponents(f, certify);
+        EXPECT_EQ(cdec.result, oracle) << "seed " << seed;
+        if (cdec.result == SolveResult::Sat) {
+            ++sat;
+            ASSERT_TRUE(cdec.certificate.has_value()) << "seed " << seed;
+            EXPECT_TRUE(checksThroughProduction(*cdec.certificate))
+                << "seed " << seed << "\n" << toDqdimacsString(f);
+        }
+
+        const ComponentSolveOutcome mdec = solveByComponents(f, certify, &memo);
+        EXPECT_EQ(mdec.result, oracle) << "seed " << seed;
+        reused += mdec.reusedComponents;
+        if (mdec.result == SolveResult::Sat) {
+            ASSERT_TRUE(mdec.certificate.has_value()) << "seed " << seed;
+            EXPECT_TRUE(checksThroughProduction(*mdec.certificate))
+                << "seed " << seed << "\n" << toDqdimacsString(f);
+        }
+    }
+    // The generator must actually exercise the split path, certificates,
+    // and memo reuse.
+    EXPECT_GT(split, 200);
+    EXPECT_GT(sat, 100);
+    EXPECT_GT(reused, 100u);
+}
+
+TEST(Batch, ColdRowsReportComponentsAndRoundTripThem)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("hqs-components-" + std::to_string(static_cast<unsigned>(::getpid())));
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "two.dqdimacs").string();
+    {
+        std::ofstream out(path);
+        out << kInterleavedTwoComponents;
+    }
+    BatchOptions opts;
+    opts.numWorkers = 1;
+    opts.certify = true;
+    BatchScheduler scheduler(opts);
+    std::ostringstream jsonl;
+    const std::vector<BatchJobResult> results = scheduler.run({path}, &jsonl);
+    std::filesystem::remove_all(dir);
+
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].result, SolveResult::Sat);
+    EXPECT_EQ(results[0].components, 2u);
+    EXPECT_TRUE(results[0].certificate.valid) << results[0].certificate.status;
+    EXPECT_NE(jsonl.str().find("\"components\":2"), std::string::npos) << jsonl.str();
+
+    BatchJobResult back;
+    std::string line = jsonl.str();
+    line.pop_back(); // newline
+    ASSERT_TRUE(readJsonl(line, back));
+    EXPECT_EQ(back.components, 2u);
+    EXPECT_EQ(back.sessionComponents, 0u);
 }

@@ -24,6 +24,7 @@
 
 #include "src/cache/result_cache.hpp"
 #include "src/cert/certificate.hpp"
+#include "src/cnf/dimacs.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
 #include "src/service/client.hpp"
@@ -1356,6 +1357,85 @@ TEST(ServiceSession, DisconnectClosesOwnedSessions)
         std::string kind;
         return jsonStringField(row, "error_kind", kind) && kind == "session-gone";
     }));
+    service.stop();
+}
+
+TEST(ServiceSession, ReplyPrecedesTheCacheEntryThatServesColdSolves)
+{
+    // The session reply goes out first; the effective formula's cache entry
+    // lands right after it.  Once stored, a cold request for the effective
+    // formula is a cache hit.
+    ServiceOptions opts;
+    opts.resultCache = std::make_shared<cache::ResultCache>();
+    withJsonlService(
+        [](SolverService& service, BlockingClient& client) {
+            const std::string sid = openSession(client, kSatFormula);
+            ASSERT_FALSE(sid.empty());
+            SolveRequestOptions delta;
+            delta.op = "delta";
+            delta.session = sid;
+            delta.addGroup = "implied";
+            delta.deltaClauses = "-3 1 0";
+            std::string reply = roundTrip(client, buildJsonlSolveRequest("d-1", "", delta));
+            std::string verdict;
+            ASSERT_TRUE(jsonStringField(reply, "result", verdict)) << reply;
+            EXPECT_EQ(verdict, "SAT");
+            ASSERT_TRUE(eventually(
+                [&] { return service.counters().cacheStores.load() >= 1; }, 5.0));
+            EXPECT_EQ(service.counters().cacheStores.load(), 1u);
+
+            ParsedQdimacs effective = parseDqdimacsString(kSatFormula);
+            effective.matrix.addClause(Clause({Lit::fromDimacs(-3), Lit::fromDimacs(1)}));
+            reply = roundTrip(client, buildJsonlSolveRequest(
+                                          "cold", toDqdimacsString(effective),
+                                          SolveRequestOptions{}));
+            ASSERT_TRUE(jsonStringField(reply, "result", verdict)) << reply;
+            EXPECT_EQ(verdict, "SAT");
+            EXPECT_NE(reply.find("\"cached\":true"), std::string::npos) << reply;
+        },
+        opts);
+}
+
+TEST(ServiceLoopback, ColdHqsRowsReportTheirComponents)
+{
+    // kSatFormula is two copycat components; kUnsatFormula is one.  Both
+    // the JSONL and the HTTP front end carry the count.
+    withJsonlService([](SolverService&, BlockingClient& client) {
+        std::string reply = roundTrip(
+            client, buildJsonlSolveRequest("two", kSatFormula, SolveRequestOptions{}));
+        double components = 0;
+        ASSERT_TRUE(jsonNumberField(reply, "components", components)) << reply;
+        EXPECT_EQ(components, 2);
+        SolveRequestOptions certify;
+        certify.certify = true;
+        reply = roundTrip(client, buildJsonlSolveRequest("two-cert", kSatFormula, certify));
+        ASSERT_TRUE(jsonNumberField(reply, "components", components)) << reply;
+        EXPECT_EQ(components, 2);
+        std::string certBytes;
+        ASSERT_TRUE(jsonStringField(reply, "bytes", certBytes)) << reply;
+        cert::Certificate parsed;
+        std::string detail;
+        ASSERT_EQ(cert::parseCertificateString(certBytes, parsed, detail),
+                  cert::CheckStatus::Ok)
+            << detail;
+        EXPECT_TRUE(cert::checkCertificate(parsed).ok());
+    });
+
+    ServiceOptions opts;
+    opts.maxInflight = 2;
+    opts.defaultTimeoutSeconds = 30;
+    SolverService service(opts);
+    std::string error;
+    ASSERT_TRUE(service.start(&error)) << error;
+    BlockingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", service.httpPort(), &error)) << error;
+    ASSERT_TRUE(client.sendAll(buildHttpSolveRequest(kUnsatFormula, SolveRequestOptions{}, true)));
+    HttpResponseMsg rsp;
+    ASSERT_TRUE(client.readResponse(rsp));
+    EXPECT_EQ(rsp.status, 200) << rsp.body;
+    double components = 0;
+    ASSERT_TRUE(jsonNumberField(rsp.body, "components", components)) << rsp.body;
+    EXPECT_EQ(components, 1);
     service.stop();
 }
 
